@@ -9,14 +9,14 @@ solvable through that alignment. An untrained model sits at chance.
 
 import argparse
 
-from fewintent.encoder import build_vocab, init_params
+from fewintent.encoder import build_vocab
 from fewintent.evaluator import (
     dataset_accuracy,
     generate_paraphrase_corpus,
     generate_transfer_task,
 )
-from fewintent.pretrain import build_paraphrase_instances
-from fewintent.trainer import TrainConfig, TrainItem, fit_items
+from fewintent.pretrain import build_paraphrase_instances, pair_sentences
+from fewintent.trainer import TrainConfig, fit_items
 
 
 def main():
@@ -33,13 +33,9 @@ def main():
     k = args.intents
 
     tasks = build_paraphrase_instances(corpus, n_target=args.intents, k=k, seed=args.seed)
-    sentences = {}
-    for p in corpus:
-        sentences.setdefault(p.anchor)
-        sentences.setdefault(p.paraphrase)
-    vocab = build_vocab([list(sentences)])
+    vocab = build_vocab([pair_sentences(corpus)])
     cfg = TrainConfig(k=k, epochs=args.epochs, seed=args.seed, selection="train_loss")
-    params = init_params(len(vocab), seed=args.seed)
+    params = cfg.new_params(vocab)
 
     chance = 100.0 / args.intents
     print(f"{args.pairs} pairs over {args.concepts} concepts, "
@@ -47,8 +43,7 @@ def main():
     print(f"untrained zero-shot accuracy: {dataset_accuracy(params, vocab, task, k):6.2f}%"
           f"  (chance {chance:.1f}%)")
 
-    items = [TrainItem(t.labels, t.plans) for t in tasks]
-    best, report = fit_items(items, vocab, params, cfg)
+    best, report = fit_items(tasks, vocab, params, cfg)
     print(f"pretraining losses per epoch: {[round(x, 4) for x in report.epoch_losses]}")
     print(f"pretrained zero-shot accuracy: {dataset_accuracy(best, vocab, task, k):6.2f}%")
 

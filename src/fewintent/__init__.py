@@ -44,7 +44,6 @@ from .objective import LossConfig, batch_loss, cosine_sim, sequence_loss
 from .pretrain import (
     ParaphrasePair,
     PretrainInstance,
-    build_ood_pretrain,
     build_paraphrase_instances,
     build_similarity_index,
     filter_pairs,

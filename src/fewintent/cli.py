@@ -14,33 +14,34 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 from .corpus import Dataset, build_ood, load_dataset, split_dev
-from .encoder import build_vocab, init_params
+from .encoder import build_vocab
 from .errors import DataError, NumericError
 from .evaluator import (
-    dataset_accuracy,
     evaluate_runs,
     generate_synthetic,
     label_filter_rankings,
     predict_dataset,
     sweep_k,
     sweep_table,
+    top1_accuracy,
+    topk_miss,
 )
 from .pretrain import (
-    build_ood_pretrain,
     build_paraphrase_instances,
     filter_pairs,
+    pair_sentences,
     pairs_from_tsv,
     write_plans_jsonl,
 )
 from .sequencer import choose_k
 from .trainer import (
     TrainConfig,
-    TrainItem,
+    dataset_items,
     fit_items,
     load_checkpoint,
     save_checkpoint,
@@ -90,6 +91,7 @@ _HYPERPARAMS = [
     Opt("min_count", "int", 1, "vocabulary frequency cutoff"),
 ]
 
+_GROUP_SIZE = [o for o in _HYPERPARAMS if o.name in ("k", "k_min", "k_max")]
 _FORMAT = Opt("format", "str", None, "csv or jsonl; inferred from the extension when omitted")
 _INVENTORY = Opt("inventory", "str", None, "label-inventory sidecar, one raw label per line")
 _OUT = Opt("out", "str", None, "metrics JSONL path (default: stdout)")
@@ -171,9 +173,7 @@ _COMMANDS: dict[str, list[Opt]] = {
         Opt("test", "str", required=True, help="test dataset"),
         _FORMAT,
         _INVENTORY,
-        Opt("k", "int", None, "group size; default minimizes padding over [k_min, k_max]"),
-        Opt("k_min", "int", 20, "lower bound for automatic group-size choice"),
-        Opt("k_max", "int", 35, "upper bound for automatic group-size choice"),
+        *_GROUP_SIZE,
         Opt("predictions_out", "str", None, "predictions JSONL"),
         _OUT,
     ],
@@ -193,9 +193,7 @@ _COMMANDS: dict[str, list[Opt]] = {
         Opt("test", "str", required=True, help="test dataset"),
         _FORMAT,
         _INVENTORY,
-        Opt("k", "int", None, "group size for model predictions"),
-        Opt("k_min", "int", 20, "lower bound for automatic group-size choice"),
-        Opt("k_max", "int", 35, "upper bound for automatic group-size choice"),
+        *_GROUP_SIZE,
         Opt("k_top", "int", 5, "filter depth for the miss count"),
         Opt("predictions_out", "str", None, "predictions JSONL"),
         _OUT,
@@ -229,8 +227,12 @@ def _read_config_file(path: str, schema: dict[str, Opt]) -> dict:
     p = Path(path)
     if not p.is_file():
         raise UsageError(f"config file not found: {path}")
+    try:
+        text = p.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     values = {}
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -291,6 +293,9 @@ class _Writer:
     def write(self, record: dict):
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
 
+    def epoch(self, record: dict):
+        self.write({"record": "epoch", **record})
+
     def close(self):
         if self._own:
             self._fh.close()
@@ -313,31 +318,20 @@ def _load(path: str, cfg: dict) -> Dataset:
     return load_dataset(path, _infer_format(path, cfg.get("format")), cfg.get("inventory"))
 
 
-def _train_config(cfg: dict, seed: int | None = None) -> TrainConfig:
-    return TrainConfig(
-        k=cfg["k"],
-        k_min=cfg["k_min"],
-        k_max=cfg["k_max"],
-        tau=cfg["tau"],
-        include_placeholders=cfg["include_placeholders"],
-        batch_size=cfg["batch_size"],
-        learning_rate=cfg["learning_rate"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"] if seed is None else seed,
-        shuffles_per_sequence=cfg["shuffles"],
-        optimizer=cfg["optimizer"],
-        selection=cfg["selection"],
-        d_emb=cfg["d_emb"],
-        d_hidden=cfg["d_hidden"],
-        d_out=cfg["d_out"],
-        projector_depth=cfg["projector_depth"],
-        attention=cfg["attention"],
-        min_count=cfg["min_count"],
-    )
+def _train_config(cfg: dict) -> TrainConfig:
+    """The TrainConfig that a command's resolved `_HYPERPARAMS` entries describe."""
+    kwargs = {o.name: cfg[o.name] for o in _HYPERPARAMS}
+    kwargs["shuffles_per_sequence"] = kwargs.pop("shuffles")
+    # eval has no --seed: evaluate_runs seeds each run from --seeds.
+    return TrainConfig(seed=cfg.get("seed", 0), **kwargs)
 
 
-def _check_init_dims(params, tc: TrainConfig, explicit: set[str]):
-    """Explicitly configured dimensions must agree with a warm-start checkpoint."""
+def _load_init(cfg: dict, tc: TrainConfig, explicit: set[str]):
+    """The --init warm start, or None; explicitly configured dimensions must
+    agree with the checkpoint."""
+    if not cfg["init"]:
+        return None
+    params, vocab = load_checkpoint(cfg["init"])
     checks = [
         ("d_emb", params.d_emb, tc.d_emb),
         ("d_out", params.d_out, tc.d_out),
@@ -347,6 +341,25 @@ def _check_init_dims(params, tc: TrainConfig, explicit: set[str]):
     for name, have, want in checks:
         if name in explicit and have != want:
             raise DataError(f"checkpoint {name} is {have}, configured {want}")
+    return params, vocab
+
+
+def _split(data: Dataset, cfg: dict) -> tuple[Dataset, Dataset | None]:
+    """(train, dev): the --dev file when given, else a --dev-fraction split of
+    `data`; a fraction of 0 or less means no dev set."""
+    if cfg.get("dev"):
+        return data, _load(cfg["dev"], cfg)
+    if cfg["dev_fraction"] > 0:
+        return split_dev(data, cfg["dev_fraction"], cfg["seed"])
+    return data, None
+
+
+def _predict_checkpoint(cfg: dict):
+    """Rank every --test utterance with the --ckpt model; returns (test set, k, predictions)."""
+    params, vocab = load_checkpoint(cfg["ckpt"])
+    test_data = _load(cfg["test"], cfg)
+    k = cfg["k"] or choose_k(test_data.n_intents, cfg["k_min"], cfg["k_max"])
+    return test_data, k, predict_dataset(params, vocab, test_data, k)
 
 
 def _write_dataset_jsonl(data: Dataset, path: Path):
@@ -358,18 +371,23 @@ def _write_dataset_jsonl(data: Dataset, path: Path):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _write_predictions(path: str, preds, data: Dataset, top: int = 5):
+def _write_predictions(path: str, data: Dataset, runs, top: int = 5):
+    """One record per run and test utterance; `runs` pairs each run's seed
+    (None for a single unseeded run) with its predictions."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for pred, ex in zip(preds, data.examples):
-            rec = {
-                "utterance": ex.text,
-                "gold": data.labels[ex.intent_id].raw_name,
-                "top": [
-                    {"intent": data.labels[iid].raw_name, "score": score}
-                    for iid, score in pred.ranking[:top]
-                ],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        for seed, preds in runs:
+            for pred, ex in zip(preds, data.examples):
+                rec = {
+                    "utterance": ex.text,
+                    "gold": data.labels[ex.intent_id].raw_name,
+                    "top": [
+                        {"intent": data.labels[iid].raw_name, "score": score}
+                        for iid, score in pred.ranking[:top]
+                    ],
+                }
+                if seed is not None:
+                    rec["seed"] = seed
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 # --- commands -----------------------------------------------------------------
@@ -409,26 +427,16 @@ def _cmd_ingest(cfg: dict, explicit: set[str], writer: _Writer):
 
 
 def _cmd_train(cfg: dict, explicit: set[str], writer: _Writer):
-    data = _load(cfg["train"], cfg)
-    if cfg["dev"]:
-        train_data, dev_data = data, _load(cfg["dev"], cfg)
-    elif cfg["dev_fraction"] and cfg["dev_fraction"] > 0:
-        train_data, dev_data = split_dev(data, cfg["dev_fraction"], cfg["seed"])
-    else:
-        train_data, dev_data = data, None
+    train_data, dev_data = _split(_load(cfg["train"], cfg), cfg)
     tc = _train_config(cfg)
-    init = load_checkpoint(cfg["init"]) if cfg["init"] else None
-    if init is not None:
-        _check_init_dims(init[0], tc, explicit)
     params, report, vocab = train(
-        train_data, dev_data, tc, init=init,
-        log=lambda rec: writer.write({"record": "epoch", **rec}),
+        train_data, dev_data, tc, init=_load_init(cfg, tc, explicit), log=writer.epoch
     )
     if cfg["ckpt"]:
         save_checkpoint(params, vocab, cfg["ckpt"])
     writer.write({
         "record": "train_summary",
-        "k": tc.k or choose_k(train_data.n_intents, tc.k_min, tc.k_max),
+        "k": tc.group_size(train_data.n_intents),
         "epochs_run": len(report.epoch_losses),
         "best_epoch": report.best_epoch,
         "selection": report.selection,
@@ -442,34 +450,20 @@ def _cmd_pretrain_ood(cfg: dict, explicit: set[str], writer: _Writer):
     others = [_load(p, cfg) for p in cfg["others"]]
     ood = build_ood(target, others, cfg["exclude_domains"])
     tc = _train_config(cfg)
-    k = tc.k or choose_k(target.n_intents, tc.k_min, tc.k_max)
-
-    if cfg["dev_fraction"] and cfg["dev_fraction"] > 0:
-        ood_train, ood_dev = split_dev(ood, cfg["dev_fraction"], cfg["seed"])
-    else:
-        ood_train, ood_dev = ood, None
+    tc = replace(tc, k=tc.group_size(target.n_intents))  # the target task fixes the group size
+    ood_train, ood_dev = _split(ood, cfg)
     # Vocabulary covers the target task too, so fine-tuning keeps stable token ids.
     vocab = build_vocab([ood, target], tc.min_count)
-    params = init_params(
-        len(vocab), tc.d_emb, tc.d_hidden, tc.d_out, tc.projector_depth,
-        seed=tc.seed, attention=tc.attention,
-    )
-    items = build_ood_pretrain(ood_train, k)
     if cfg["plans_out"]:
-        write_plans_jsonl(items, cfg["plans_out"])
-
-    dev_scorer = None
-    if tc.selection == "dev_accuracy" and ood_dev is not None and len(ood_dev.examples) >= 10:
-        dev_scorer = lambda p: dataset_accuracy(p, vocab, ood_dev, k)
-    params, report = fit_items(
-        items, vocab, params, tc, dev_scorer,
-        log=lambda rec: writer.write({"record": "epoch", **rec}),
+        write_plans_jsonl(dataset_items(ood_train, tc.k), cfg["plans_out"])
+    params, report, _ = train(
+        ood_train, ood_dev, tc, init=(tc.new_params(vocab), vocab), log=writer.epoch
     )
     if cfg["ckpt"]:
         save_checkpoint(params, vocab, cfg["ckpt"])
     writer.write({
         "record": "pretrain_ood_summary",
-        "k": k,
+        "k": tc.k,
         "n_intents_union": ood.n_intents,
         "n_examples": len(ood.examples),
         "best_epoch": report.best_epoch,
@@ -490,25 +484,13 @@ def _cmd_pretrain_para(cfg: dict, explicit: set[str], writer: _Writer):
     else:
         raise UsageError("pretrain-para needs --n-target or --target")
     tc = _train_config(cfg)
-    k = tc.k or choose_k(n_target, tc.k_min, tc.k_max)
+    k = tc.group_size(n_target)
 
     tasks = build_paraphrase_instances(kept, n_target, k, seed=tc.seed)
-    sentences: dict[str, None] = {}
-    for p in kept:
-        sentences.setdefault(p.anchor)
-        sentences.setdefault(p.paraphrase)
-    vocab = build_vocab([list(sentences)], tc.min_count)
-    params = init_params(
-        len(vocab), tc.d_emb, tc.d_hidden, tc.d_out, tc.projector_depth,
-        seed=tc.seed, attention=tc.attention,
-    )
-    items = [TrainItem(t.labels, t.plans) for t in tasks]
+    vocab = build_vocab([pair_sentences(kept)], tc.min_count)
     if cfg["plans_out"]:
-        write_plans_jsonl(items, cfg["plans_out"])
-    params, report = fit_items(
-        items, vocab, params, tc, dev_scorer=None,
-        log=lambda rec: writer.write({"record": "epoch", **rec}),
-    )
+        write_plans_jsonl(tasks, cfg["plans_out"])
+    params, report = fit_items(tasks, vocab, tc.new_params(vocab), tc, log=writer.epoch)
     if cfg["ckpt"]:
         save_checkpoint(params, vocab, cfg["ckpt"])
     writer.write({
@@ -527,62 +509,44 @@ def _cmd_pretrain_para(cfg: dict, explicit: set[str], writer: _Writer):
 def _cmd_eval(cfg: dict, explicit: set[str], writer: _Writer):
     train_pool = _load(cfg["train"], cfg)
     test_data = _load(cfg["test"], cfg)
-    tc = _train_config(cfg, seed=cfg["seeds"][0])
-    init = load_checkpoint(cfg["init"]) if cfg["init"] else None
+    tc = _train_config(cfg)
     report, run_preds = evaluate_runs(
         train_pool, test_data, tc, cfg["seeds"], cfg["shots"],
-        dev_fraction=cfg["dev_fraction"], init=init, return_predictions=True,
+        dev_fraction=cfg["dev_fraction"], init=_load_init(cfg, tc, explicit),
+        return_predictions=True,
     )
     for seed, acc in zip(report.seeds, report.accuracies):
         writer.write({"record": "run", "seed": seed, "accuracy": acc})
     writer.write({"record": "eval_report", **report.to_record()})
     print(report.to_text(), file=sys.stderr)
     if cfg["predictions_out"]:
-        with Path(cfg["predictions_out"]).open("w", encoding="utf-8", newline="\n") as fh:
-            for seed, preds in zip(report.seeds, run_preds):
-                for pred, ex in zip(preds, test_data.examples):
-                    fh.write(json.dumps({
-                        "seed": seed,
-                        "utterance": ex.text,
-                        "gold": test_data.labels[ex.intent_id].raw_name,
-                        "top": [
-                            {"intent": test_data.labels[i].raw_name, "score": s}
-                            for i, s in pred.ranking[:5]
-                        ],
-                    }, sort_keys=True) + "\n")
+        _write_predictions(cfg["predictions_out"], test_data, zip(report.seeds, run_preds))
 
 
 def _cmd_zeroshot(cfg: dict, explicit: set[str], writer: _Writer):
-    params, vocab = load_checkpoint(cfg["ckpt"])
-    test_data = _load(cfg["test"], cfg)
-    k = cfg["k"] or choose_k(test_data.n_intents, cfg["k_min"], cfg["k_max"])
-    preds = predict_dataset(params, vocab, test_data, k)
-    gold = [ex.intent_id for ex in test_data.examples]
-    correct = sum(1 for p, g in zip(preds, gold) if p.predicted == g)
+    test_data, k, preds = _predict_checkpoint(cfg)
     writer.write({
         "record": "zeroshot",
         "k": k,
-        "n_test": len(gold),
-        "accuracy": 100.0 * correct / len(gold),
+        "n_test": len(test_data.examples),
+        "accuracy": top1_accuracy(preds, test_data),
     })
     if cfg["predictions_out"]:
-        _write_predictions(cfg["predictions_out"], preds, test_data)
+        _write_predictions(cfg["predictions_out"], test_data, [(None, preds)])
 
 
 def _cmd_sweep_k(cfg: dict, explicit: set[str], writer: _Writer):
     data = _load(cfg["train"], cfg)
-    if cfg["dev"]:
-        train_data, dev_data = data, _load(cfg["dev"], cfg)
-    else:
-        train_data, dev_data = split_dev(data, cfg["dev_fraction"], cfg["seed"])
-    cfg = dict(cfg, k=None)
-    tc = _train_config(cfg)
+    train_data, dev_data = _split(data, cfg)
+    if dev_data is None or not dev_data.examples:
+        raise DataError("sweep-k needs a non-empty dev set: pass --dev or a larger --dev-fraction")
+    tc = _train_config(dict(cfg, k=None))
     writer.write({
         "record": "choose_k",
         "n": data.n_intents,
         "k_min": tc.k_min,
         "k_max": tc.k_max,
-        "chosen": choose_k(data.n_intents, tc.k_min, tc.k_max),
+        "chosen": tc.group_size(data.n_intents),
     })
     rows = sweep_k(train_data, dev_data, tc, cfg["k_values"])
     for r in rows:
@@ -594,14 +558,9 @@ def _cmd_sweep_k(cfg: dict, explicit: set[str], writer: _Writer):
 
 
 def _cmd_diagnose_topk(cfg: dict, explicit: set[str], writer: _Writer):
-    params, vocab = load_checkpoint(cfg["ckpt"])
-    test_data = _load(cfg["test"], cfg)
-    k = cfg["k"] or choose_k(test_data.n_intents, cfg["k_min"], cfg["k_max"])
-    preds = predict_dataset(params, vocab, test_data, k)
+    test_data, _, preds = _predict_checkpoint(cfg)
     gold = [ex.intent_id for ex in test_data.examples]
     filt = label_filter_rankings([ex.text for ex in test_data.examples], test_data.labels)
-    from .evaluator import topk_miss
-
     misses, recovered = topk_miss(preds, gold, cfg["k_top"], filt)
     writer.write({
         "record": "topk_miss",
@@ -611,7 +570,7 @@ def _cmd_diagnose_topk(cfg: dict, explicit: set[str], writer: _Writer):
         "recovered_count": recovered,
     })
     if cfg["predictions_out"]:
-        _write_predictions(cfg["predictions_out"], preds, test_data)
+        _write_predictions(cfg["predictions_out"], test_data, [(None, preds)])
 
 
 _DISPATCH = {

@@ -91,12 +91,29 @@ class Dataset:
         return by_intent
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
+    return DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def _read_inventory(path: Path) -> list[str]:
-    names = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
+    names = [line.strip() for line in text.splitlines()]
     names = [n for n in names if n]
     if not names:
         raise DataError(f"label inventory {path} is empty")
     return names
+
+
+def checked_decode(path: Path, rows: Iterable) -> Iterable:
+    """Iterate `rows` read from the text file `path`, turning a UTF-8 decode
+    error into a DataError that names the file."""
+    try:
+        yield from rows
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
 
 
 def _rows_from_csv(path: Path) -> Iterable[tuple[int, str, str, str | None]]:
@@ -162,7 +179,7 @@ def load_dataset(
                 labels.append(IntentLabel(len(labels), raw, surface))
 
     examples: list[LabeledUtterance] = []
-    for lineno, text, raw_label, domain in rows:
+    for lineno, text, raw_label, domain in checked_decode(path, rows):
         if not text.strip():
             raise DataError(f"{path}:{lineno}: empty utterance text")
         if not raw_label.strip():
@@ -187,8 +204,9 @@ def sample_few_shot(data: Dataset, shots: int, seed: int) -> Dataset:
         raise DataError(f"shots must be >= 1, got {shots}")
     rng = np.random.default_rng(seed)
     picked: list[LabeledUtterance] = []
+    by_intent = data.examples_by_intent()
     for lab in data.labels:
-        pool = [idx for idx, ex in enumerate(data.examples) if ex.intent_id == lab.id]
+        pool = by_intent[lab.id]
         if len(pool) < shots:
             raise DataError(
                 f"intent {lab.raw_name!r} has {len(pool)} examples, needs {shots}"

@@ -15,8 +15,8 @@ from .encoder import ModelParams, Vocabulary, encode, tokenize
 from .errors import DataError
 from .objective import cosine_sim
 from .pretrain import ParaphrasePair, TfidfIndex
-from .sequencer import PLACEHOLDER, choose_k, inference_plan, partition_intents
-from .trainer import TrainConfig, train
+from .sequencer import PLACEHOLDER, inference_plan, partition_intents
+from .trainer import MIN_DEV_FOR_SELECTION, TrainConfig, train
 
 # Filler words drawn into synthetic utterances; deliberately free of the
 # label-surface tokens ("topic", bare letters, digits).
@@ -25,8 +25,6 @@ _FILLERS = (
     "to", "check", "set", "up", "for", "today", "now", "right", "away",
     "thanks", "would", "like", "know", "about",
 )
-
-_MIN_DEV_FOR_SELECTION = 10
 
 
 @dataclass(frozen=True)
@@ -99,11 +97,15 @@ def predict(
     return Prediction(utterance_id, tuple(scored))
 
 
-def dataset_accuracy(params: ModelParams, vocab: Vocabulary, data: Dataset, k: int) -> float:
-    """Top-1 accuracy in percent over a dataset."""
-    preds = predict_dataset(params, vocab, data, k)
+def top1_accuracy(preds: Sequence[Prediction], data: Dataset) -> float:
+    """Percentage of `data`'s examples whose top-ranked intent is the gold one."""
     correct = sum(1 for p, ex in zip(preds, data.examples) if p.predicted == ex.intent_id)
     return 100.0 * correct / len(data.examples)
+
+
+def dataset_accuracy(params: ModelParams, vocab: Vocabulary, data: Dataset, k: int) -> float:
+    """Top-1 accuracy in percent over a dataset."""
+    return top1_accuracy(predict_dataset(params, vocab, data, k), data)
 
 
 def predict_dataset(params: ModelParams, vocab: Vocabulary, data: Dataset, k: int) -> list[Prediction]:
@@ -136,17 +138,17 @@ def evaluate_runs(
 ):
     """Run the sample-train-test protocol once per seed and aggregate accuracy.
 
-    Each run draws its own few-shot sample. When the 10% dev cut would hold
-    fewer than 10 examples the run trains on the full sample and selects by
-    training loss instead. Zero-shot mode skips training and scores the
-    provided parameters directly.
+    Each run draws its own few-shot sample. When the dev cut would hold fewer
+    than MIN_DEV_FOR_SELECTION examples the run trains on the full sample and
+    selects by training loss instead. Zero-shot mode skips training and scores
+    the provided parameters directly.
     """
     if not seeds:
         raise DataError("need at least one seed")
     if zero_shot and init is None:
         raise DataError("zero-shot evaluation needs pretrained parameters")
 
-    k = cfg.k or choose_k(test_data.n_intents, cfg.k_min, cfg.k_max)
+    k = cfg.group_size(test_data.n_intents)
     accuracies = []
     run_preds: list[list[Prediction]] = []
     all_gold: list[int] = []
@@ -156,18 +158,16 @@ def evaluate_runs(
         else:
             sample = sample_few_shot(train_pool, shots, seed)
             n_dev = int(dev_fraction * len(sample.examples) + 1e-9)
-            if n_dev >= _MIN_DEV_FOR_SELECTION:
+            if n_dev >= MIN_DEV_FOR_SELECTION:
                 tr, dev = split_dev(sample, dev_fraction, seed)
             else:
                 tr, dev = sample, None
             run_cfg = replace(cfg, k=k, seed=seed)
             params, _, vocab = train(tr, dev, run_cfg, init=init)
         preds = predict_dataset(params, vocab, test_data, k)
-        gold = [ex.intent_id for ex in test_data.examples]
-        correct = sum(1 for p, g in zip(preds, gold) if p.predicted == g)
-        accuracies.append(100.0 * correct / len(gold))
+        accuracies.append(top1_accuracy(preds, test_data))
         run_preds.append(preds)
-        all_gold.extend(gold)
+        all_gold.extend(ex.intent_id for ex in test_data.examples)
 
     report = EvalReport(
         accuracies=accuracies,

@@ -22,8 +22,6 @@ from .sequencer import PLACEHOLDER
 class LossConfig:
     tau: float = 0.1
     include_placeholders: bool = False
-    # Batching hint for the trainer; losses always average over the actual batch.
-    batch_size: int = 8
 
     def __post_init__(self):
         if self.tau <= 0:

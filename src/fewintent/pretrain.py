@@ -2,8 +2,9 @@
 
 Paraphrase pairs become candidate-ranking tasks: each anchor's gold "label" is
 its paraphrase and the other t = n - 1 candidates are the most term-similar
-sentences mined from the corpus. Out-of-domain pretraining reuses the regular
-dataset pipeline over a pooled intent union.
+sentences mined from the corpus. Each task is a `TrainItem` for
+`trainer.fit_items`. Out-of-domain pretraining needs nothing from here: it is
+`trainer.train` on the pooled intent union of `corpus.build_ood`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, IntentLabel, LabeledUtterance
+from .corpus import IntentLabel, LabeledUtterance, checked_decode
 from .encoder import word_tokens
 from .errors import DataError
 from .sequencer import PLACEHOLDER, SequencePlan, build_plans, partition_intents
@@ -57,12 +58,11 @@ class PretrainInstance:
 
 
 @dataclass(frozen=True)
-class ParaphraseTask:
-    """One instance rendered as a per-anchor label inventory plus its plans."""
+class ParaphraseTask(TrainItem):
+    """One instance rendered as a training item: a per-anchor label inventory
+    plus its plans."""
 
     instance: PretrainInstance
-    labels: tuple[IntentLabel, ...]
-    plans: tuple[SequencePlan, ...]
 
 
 def filter_pairs(
@@ -142,6 +142,11 @@ def build_similarity_index(sentences: Sequence[str]) -> TfidfIndex:
     return TfidfIndex(sentences)
 
 
+def pair_sentences(pairs: Sequence[ParaphrasePair]) -> list[str]:
+    """The distinct sentences of `pairs` in first-appearance order."""
+    return list(dict.fromkeys(s for p in pairs for s in (p.anchor, p.paraphrase)))
+
+
 def _sentence_surface(sentence: str) -> str:
     surface = _SURFACE_JUNK.sub(" ", sentence.lower()).strip()
     if not surface:
@@ -169,11 +174,7 @@ def build_paraphrase_instances(
         raise DataError("no paraphrase pairs")
     t = n_target - 1
 
-    pool: dict[str, None] = {}
-    for p in pairs:
-        pool.setdefault(p.anchor)
-        pool.setdefault(p.paraphrase)
-    sentences = list(pool)
+    sentences = pair_sentences(pairs)
     if len(sentences) < n_target:
         raise DataError(
             f"corpus of {len(sentences)} sentences cannot supply {t} negatives per anchor"
@@ -205,16 +206,8 @@ def build_paraphrase_instances(
             groups = partition_intents(labels, k)
             utt = LabeledUtterance(anchor, gold_pos)
             plans = tuple(build_plans(utt, groups))
-            tasks.append(ParaphraseTask(instance, labels, plans))
+            tasks.append(ParaphraseTask(labels, plans, instance))
     return tasks
-
-
-def build_ood_pretrain(ood: Dataset, k: int) -> list[TrainItem]:
-    """Plans over the pooled intent union, identical to the fine-tuning pipeline."""
-    if not ood.examples:
-        raise DataError("out-of-domain dataset is empty")
-    groups = partition_intents(ood.labels, k)
-    return [TrainItem(ood.labels, tuple(build_plans(u, groups))) for u in ood.examples]
 
 
 def pairs_from_tsv(path: str | Path) -> list[ParaphrasePair]:
@@ -224,7 +217,7 @@ def pairs_from_tsv(path: str | Path) -> list[ParaphrasePair]:
         raise DataError(f"paraphrase file not found: {path}")
     pairs = []
     with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+        for lineno, line in enumerate(checked_decode(path, fh), start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue

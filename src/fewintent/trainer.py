@@ -1,5 +1,10 @@
 """Seeded mini-batch training over candidate-slate plans.
 
+This module decides how every model is trained: the group size, fresh
+parameters, the training items of a dataset, and when dev accuracy selects the
+best epoch. Fine-tuning and out-of-domain pretraining both run `train`;
+paraphrase pretraining feeds its own items to `fit_items`.
+
 Every epoch rebuilds the augmentation pool (fresh slot shuffles per plan),
 steps SGD or Adam on exact batch gradients, and tracks the best epoch by dev
 accuracy or training loss. Checkpoints serialize parameters and vocabulary
@@ -30,6 +35,9 @@ from .encoder import (
 from .errors import CheckpointError, DataError, NumericError
 from .objective import LossConfig
 from .sequencer import SequencePlan, augment_shuffles, build_plans, choose_k, partition_intents
+
+# Dev-based selection needs this many dev examples; below it, training loss selects.
+MIN_DEV_FOR_SELECTION = 10
 
 
 @dataclass
@@ -69,8 +77,19 @@ class TrainConfig:
         if self.seed < 0:
             raise DataError("seed must be non-negative")
 
+    def group_size(self, n_intents: int) -> int:
+        """`k`, or the padding minimizer over [k_min, k_max] when `k` is unset."""
+        return self.k or choose_k(n_intents, self.k_min, self.k_max)
+
+    def new_params(self, vocab: Vocabulary) -> ModelParams:
+        """Freshly initialized parameters of the configured shape, seeded by `seed`."""
+        return init_params(
+            len(vocab), self.d_emb, self.d_hidden, self.d_out, self.projector_depth,
+            seed=self.seed, attention=self.attention,
+        )
+
     def loss_config(self) -> LossConfig:
-        return LossConfig(self.tau, self.include_placeholders, self.batch_size)
+        return LossConfig(self.tau, self.include_placeholders)
 
 
 @dataclass
@@ -79,7 +98,6 @@ class TrainReport:
     epoch_metrics: list[float]
     selection: str  # metric actually used: "dev_accuracy" or "train_loss"
     best_epoch: int  # -1 when no epochs ran
-    params: ModelParams | None = None
 
 
 @dataclass(frozen=True)
@@ -92,6 +110,12 @@ class TrainItem:
 
     labels: Sequence
     plans: tuple
+
+
+def dataset_items(data: Dataset, k: int) -> list[TrainItem]:
+    """One item per utterance: its plans over the dataset's inventory in groups of k."""
+    groups = partition_intents(data.labels, k)
+    return [TrainItem(data.labels, tuple(build_plans(u, groups))) for u in data.examples]
 
 
 class _Sgd:
@@ -193,7 +217,7 @@ def fit_items(
         if log is not None:
             log({"epoch": epoch, "train_loss": epoch_loss, selection: metric})
 
-    return best_params, TrainReport(losses, metrics, selection, best_epoch, best_params)
+    return best_params, TrainReport(losses, metrics, selection, best_epoch)
 
 
 def train(
@@ -207,11 +231,12 @@ def train(
 
     A warm start (`init`) keeps the provided vocabulary untouched so token ids
     stay stable across pretraining and fine-tuning. Dev-based selection needs
-    at least 10 dev examples; below that it falls back to training loss.
+    at least MIN_DEV_FOR_SELECTION dev examples; below that it falls back to
+    training loss.
     """
     if not train_data.examples:
         raise DataError("training dataset is empty")
-    k = cfg.k or choose_k(train_data.n_intents, cfg.k_min, cfg.k_max)
+    k = cfg.group_size(train_data.n_intents)
 
     if init is not None:
         init_p, vocab = init
@@ -222,24 +247,16 @@ def train(
         params = init_p.copy()
     else:
         vocab = build_vocab([train_data], cfg.min_count)
-        params = init_params(
-            len(vocab), cfg.d_emb, cfg.d_hidden, cfg.d_out, cfg.projector_depth,
-            seed=cfg.seed, attention=cfg.attention,
-        )
-
-    groups = partition_intents(train_data.labels, k)
-    items = [TrainItem(train_data.labels, tuple(build_plans(u, groups))) for u in train_data.examples]
+        params = cfg.new_params(vocab)
 
     dev_scorer = None
-    if cfg.selection == "dev_accuracy" and dev_data is not None and len(dev_data.examples) >= 10:
+    enough_dev = dev_data is not None and len(dev_data.examples) >= MIN_DEV_FOR_SELECTION
+    if cfg.selection == "dev_accuracy" and enough_dev:
         from .evaluator import dataset_accuracy  # local import: evaluator imports trainer
 
         dev_scorer = lambda p: dataset_accuracy(p, vocab, dev_data, k)
 
-    if cfg.epochs == 0:
-        return params, TrainReport([], [], "train_loss", -1, params), vocab
-
-    best, report = fit_items(items, vocab, params, cfg, dev_scorer, log)
+    best, report = fit_items(dataset_items(train_data, k), vocab, params, cfg, dev_scorer, log)
     return best, report, vocab
 
 

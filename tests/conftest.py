@@ -40,8 +40,8 @@ def restamp_vocab_blob(path, blob):
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def run_cli(args, cwd):
-    """Run `python -m fewintent` in `cwd` against the package copy imported here.
+def run_python(args, cwd):
+    """Run `python *args` in `cwd` against the package copy imported here.
 
     The child's PYTHONPATH starts with the absolute PACKAGE_ROOT, so a relative
     entry such as `PYTHONPATH=src` cannot leave it importing nothing (or another
@@ -52,9 +52,13 @@ def run_cli(args, cwd):
         [PACKAGE_ROOT, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     )
     return subprocess.run(
-        [sys.executable, "-m", "fewintent", *args],
-        cwd=cwd, capture_output=True, text=True, env=env,
+        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, env=env,
     )
+
+
+def run_cli(args, cwd):
+    """Run `python -m fewintent` in `cwd`; see `run_python`."""
+    return run_python(["-m", "fewintent", *args], cwd)
 
 
 @pytest.fixture

@@ -50,6 +50,23 @@ class TestPipeline:
         report = by_record(synth_dir / "eval.jsonl", "eval_report")[0]
         assert "mean" in report and len(report["accuracies"]) == 2
 
+    def test_eval_predictions_out(self, synth_dir):
+        out = run_cli(
+            ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl",
+             "--shots", "2", "--seeds", "5,0", "--k", "4", "--k-min", "2", *TINY,
+             "--predictions-out", "preds.jsonl", "--out", "eval.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 0, out.stderr
+        test = records(synth_dir / "data/test.jsonl")
+        preds = records(synth_dir / "preds.jsonl")
+        # one record per seed x test utterance, seeds in the order given
+        assert [p["seed"] for p in preds] == [5] * len(test) + [0] * len(test)
+        for pred, ex in zip(preds, test + test):
+            assert set(pred) == {"seed", "utterance", "gold", "top"}
+            assert (pred["utterance"], pred["gold"]) == (ex["text"], ex["label"])
+            assert 1 <= len(pred["top"]) <= 5
+
     def test_config_echoed_first(self, synth_dir):
         recs = records(synth_dir / "synth.jsonl")
         assert recs[0]["record"] == "config"
@@ -173,6 +190,32 @@ class TestPipeline:
         _, ft_vocab = load_checkpoint(tmp_path / "ft.ckpt")
         assert ft_vocab.tokens == pre_vocab.tokens
 
+    def test_pretrain_ood_dev_selection_and_plans(self, tmp_path):
+        (tmp_path / "target.jsonl").write_text(
+            json.dumps({"text": "pay my bill", "label": "pay bill"}) + "\n"
+        )
+        rows = [
+            {"text": f"{word} please {i}", "label": word, "domain": word}
+            for word in ("alarm", "weather", "music")
+            for i in range(8)
+        ]
+        (tmp_path / "ood.jsonl").write_text("\n".join(json.dumps(r) for r in rows))
+        out = run_cli(
+            ["pretrain-ood", "--target", "target.jsonl", "--others", "ood.jsonl",
+             "--k", "2", "--k-min", "2", "--dev-fraction", "0.5", *TINY, "--seed", "4",
+             "--plans-out", "plans.jsonl", "--out", "ood.jsonl.out"],
+            cwd=tmp_path,
+        )
+        assert out.returncode == 0, out.stderr
+        rec = by_record(tmp_path / "ood.jsonl.out", "pretrain_ood_summary")[0]
+        assert rec["selection"] == "dev_accuracy"  # 12 dev examples: enough for selection
+        epochs = by_record(tmp_path / "ood.jsonl.out", "epoch")
+        assert all("dev_accuracy" in e for e in epochs)
+        # 12 training utterances x ceil(3 intents / k=2) groups, one line per plan
+        plans = records(tmp_path / "plans.jsonl")
+        assert len(plans) == 12 * 2
+        assert all(len(p["slots"]) == 2 for p in plans)
+
 
 class TestExitCodes:
     def test_missing_dataset_is_2(self, tmp_path):
@@ -228,6 +271,61 @@ class TestExitCodes:
         out = run_cli(
             ["train", "--train", "data/train.jsonl", "--k", "4", "--k-min", "2",
              *TINY, "--init", "bad.ckpt", "--out", "t.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 2
+        assert "data error" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "args, bad_file, code, message",
+        [
+            (["ingest", "--input", "bad.jsonl"], "bad.jsonl", 2, "data error"),
+            (["ingest", "--input", "bad.csv"], "bad.csv", 2, "data error"),
+            (["ingest", "--input", "good.jsonl", "--inventory", "bad.txt"], "bad.txt", 2, "data error"),
+            (["pretrain-para", "--pairs", "bad.tsv", "--n-target", "2"], "bad.tsv", 2, "data error"),
+            (["train", "--train", "good.jsonl", "--config", "bad.txt"], "bad.txt", 1, "usage error"),
+        ],
+    )
+    def test_non_utf8_input(self, tmp_path, args, bad_file, code, message):
+        (tmp_path / "good.jsonl").write_text(json.dumps({"text": "hi", "label": "greet"}) + "\n")
+        (tmp_path / bad_file).write_bytes(b"text,category\n\xff\xfe hello\tthere,x\n")
+        out = run_cli(args, cwd=tmp_path)
+        assert out.returncode == code
+        assert message in out.stderr and bad_file in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_eval_init_dimension_mismatch_is_2(self, synth_dir):
+        from fewintent.corpus import load_dataset
+        from fewintent.encoder import build_vocab, init_params
+        from fewintent.trainer import save_checkpoint
+
+        vocab = build_vocab([load_dataset(synth_dir / "data/train.jsonl", "jsonl")])
+        save_checkpoint(init_params(len(vocab), 8, 8, 8), vocab, synth_dir / "m.ckpt")
+        out = run_cli(
+            ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl",
+             "--shots", "2", "--seeds", "0", "--k", "4", "--epochs", "1",
+             "--init", "m.ckpt", "--d-emb", "16", "--attention", "--out", "e.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 2
+        assert "data error" in out.stderr and "d_emb" in out.stderr
+
+    def test_eval_empty_seeds_is_2(self, synth_dir):
+        out = run_cli(
+            ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl",
+             "--shots", "2", "--seeds", ",", "--k", "4", "--out", "e.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 2
+        assert "at least one seed" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("fraction", ["0", "0.05"])  # no dev set; an empty one
+    def test_sweep_k_without_dev_is_2(self, synth_dir, fraction):
+        out = run_cli(
+            ["sweep-k", "--train", "data/train.jsonl", "--dev-fraction", fraction,
+             "--k-values", "2", "--k-min", "2", "--out", "s.jsonl"],
             cwd=synth_dir,
         )
         assert out.returncode == 2

@@ -7,7 +7,6 @@ from fewintent.errors import DataError
 from fewintent.evaluator import generate_paraphrase_corpus
 from fewintent.pretrain import (
     ParaphrasePair,
-    build_ood_pretrain,
     build_paraphrase_instances,
     build_similarity_index,
     filter_pairs,
@@ -15,6 +14,7 @@ from fewintent.pretrain import (
     plan_record,
 )
 from fewintent.sequencer import PLACEHOLDER
+from fewintent.trainer import dataset_items
 
 
 def boundary_fixture():
@@ -166,22 +166,24 @@ def union_dataset(n_intents, per_intent=1):
 
 
 class TestBuildOodPretrain:
+    """Out-of-domain pretraining trains on the dataset items of the pooled union."""
+
     def test_group_arithmetic_at_183(self):
-        items = build_ood_pretrain(union_dataset(183), k=26)
+        items = dataset_items(union_dataset(183), k=26)
         groups = {p.group.index: p.group for p in items[0].plans}
         assert len(groups) == 8
         padding = sum(g.slots.count(PLACEHOLDER) for g in groups.values())
         assert padding == 26 * 8 - 183 == 25
 
     def test_exact_fit_single_group(self):
-        items = build_ood_pretrain(union_dataset(7), k=7)
+        items = dataset_items(union_dataset(7), k=7)
         assert all(len(item.plans) == 1 for item in items)
         assert not any(
             PLACEHOLDER in p.group.slots for item in items for p in item.plans
         )
 
     def test_one_gold_per_utterance(self):
-        items = build_ood_pretrain(union_dataset(11, per_intent=2), k=4)
+        items = dataset_items(union_dataset(11, per_intent=2), k=4)
         m = math.ceil(11 / 4)
         for item in items:
             assert len(item.plans) == m

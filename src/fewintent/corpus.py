@@ -116,9 +116,19 @@ def checked_decode(path: Path, rows: Iterable) -> Iterable:
         raise _not_utf8(path, exc) from None
 
 
+def _csv_records(path: Path, fh) -> Iterable[list[str]]:
+    """CSV records of an open file; a malformed record, such as a field over
+    the csv module's size limit, is a DataError naming its line."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: bad CSV record ({exc})") from None
+
+
 def _rows_from_csv(path: Path) -> Iterable[tuple[int, str, str, str | None]]:
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_records(path, fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -142,6 +152,8 @@ def _rows_from_jsonl(path: Path) -> Iterable[tuple[int, str, str, str | None]]:
                 rec = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise DataError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
             if not isinstance(rec, dict) or "text" not in rec or "label" not in rec:
                 raise DataError(f"{path}:{lineno}: record needs 'text' and 'label' fields")
             yield lineno, str(rec["text"]), str(rec["label"]), rec.get("domain")

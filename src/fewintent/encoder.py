@@ -104,11 +104,17 @@ class TokenizedSequence:
     plan: SequencePlan
 
 
+def utterance_token_ids(text: str, vocab: Vocabulary) -> list[int]:
+    """Token ids of an utterance; an utterance without tokens is rejected."""
+    ids = [vocab.id_of(w) for w in word_tokens(text)]
+    if not ids:
+        raise DataError(f"utterance {text!r} has no tokens")
+    return ids
+
+
 def tokenize(plan: SequencePlan, labels: Sequence[IntentLabel], vocab: Vocabulary) -> TokenizedSequence:
     """Lay out one plan as token ids with utterance/slot spans recorded."""
-    ids = [vocab.id_of(w) for w in word_tokens(plan.utterance.text)]
-    if not ids:
-        raise DataError(f"utterance {plan.utterance.text!r} has no tokens")
+    ids = utterance_token_ids(plan.utterance.text, vocab)
     utterance_span = (0, len(ids))
     spans = []
     intents = []
@@ -245,6 +251,25 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _project(params: ModelParams, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """The shared projector over pooled rows, `z` of shape (..., d_emb).
+
+    Returns each layer's input (kept for backprop) and the output; a
+    non-finite output is a NumericError.
+    """
+    acts = [z]
+    h = z
+    last = len(params.proj_weights) - 1
+    for i, (w, b) in enumerate(zip(params.proj_weights, params.proj_biases)):
+        h = h @ w + b
+        if i < last:
+            h = np.tanh(h)
+            acts.append(h)
+    if not np.isfinite(h).all():
+        raise NumericError("non-finite values in encoder output (check parameters)")
+    return acts, h
+
+
 def _forward(params: ModelParams, seq: TokenizedSequence):
     """Forward pass returning embeddings plus the cache needed for backprop."""
     ids = np.asarray(seq.token_ids, dtype=np.intp)
@@ -263,19 +288,7 @@ def _forward(params: ModelParams, seq: TokenizedSequence):
 
     spans = [seq.utterance_span, *seq.slot_spans]
     z = np.stack([x[s:e].mean(axis=0) for s, e in spans])
-
-    acts = [z]
-    h = z
-    last = len(params.proj_weights) - 1
-    for i, (w, b) in enumerate(zip(params.proj_weights, params.proj_biases)):
-        h = h @ w + b
-        if i < last:
-            h = np.tanh(h)
-            acts.append(h)
-
-    if not np.isfinite(h).all():
-        raise NumericError("non-finite values in encoder output (check parameters)")
-
+    acts, h = _project(params, z)
     emb = SequenceEmbeddings(z[0], z[1:], h[0], h[1:], seq.slot_intents, seq.gold_slot)
     return emb, (ids, spans, acts, attn_cache)
 
@@ -284,6 +297,34 @@ def encode(params: ModelParams, seq: TokenizedSequence) -> SequenceEmbeddings:
     """Span mean pooling over token embeddings, then the shared projector."""
     emb, _ = _forward(params, seq)
     return emb
+
+
+UTTERANCE_CHUNK = 16  # utterances per projector pass in encode_utterances
+
+
+def encode_utterances(params: ModelParams, spans: Sequence[Sequence[int]], height: int) -> np.ndarray:
+    """Projected representation of each token-id span on its own, for a
+    model without attention, where an utterance's representation depends on
+    its own tokens only.
+
+    A span is mean-pooled as ``encode`` pools a sequence's utterance and
+    projected as row 0 of its own stack of `height` rows, the place
+    ``encode`` gives the utterance of a sequence with ``height - 1`` slots
+    (numpy multiplies a 3-D stack one matrix at a time). A BLAS product may
+    round a row differently in a stack of another height but rounds it the
+    same in a stack of the same shape, so each row has the bits ``encode``
+    gives it. Spans are projected ``UTTERANCE_CHUNK`` at a time to bound
+    memory.
+    """
+    h = np.empty((len(spans), params.d_out))
+    for start in range(0, len(spans), UTTERANCE_CHUNK):
+        chunk = spans[start : start + UTTERANCE_CHUNK]
+        z = np.zeros((len(chunk), height, params.d_emb))
+        for i, span in enumerate(chunk):
+            z[i, 0] = params.embedding[span].mean(axis=0)
+        _, out = _project(params, z)
+        h[start : start + len(chunk)] = out[:, 0]
+    return h
 
 
 def _backward(params, cache, dh_u, dh_slots, grads: ModelParams):

@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Dataset, IntentLabel, LabeledUtterance, sample_few_shot, split_dev
-from .encoder import ModelParams, Vocabulary, encode, tokenize
+from .encoder import ModelParams, Vocabulary, encode, encode_utterances, tokenize, utterance_token_ids
 from .errors import DataError
 from .objective import cosine_sim
 from .pretrain import ParaphrasePair, TfidfIndex
@@ -78,23 +78,17 @@ def predict(
     k: int,
     utterance_id: int = -1,
 ) -> Prediction:
-    """Rank all intents by within-sequence cosine similarity to the utterance.
+    """Rank all intents by cosine similarity to the utterance; ties break on
+    the lower intent id.
 
     The utterance is scored against each of the m canonical-order groups and
-    candidates compete globally across sequences; ties break on the lower
-    intent id. Placeholder slots never enter the ranking.
+    candidates compete globally across sequences; placeholder slots never
+    enter the ranking. With attention, the utterance attends over its group,
+    so it is encoded with each group. Without attention, a label's
+    representation depends on neither the utterance nor the rest of its
+    group, so `predict_dataset` encodes the labels once for all utterances.
     """
-    groups = partition_intents(labels, k)
-    scored: list[tuple[int, float]] = []
-    for group in groups:
-        seq = tokenize(inference_plan(text, group), labels, vocab)
-        emb = encode(params, seq)
-        for pos, intent in enumerate(emb.slot_intents):
-            if intent == PLACEHOLDER:
-                continue
-            scored.append((intent, cosine_sim(emb.h_u, emb.h_slots[pos])))
-    scored.sort(key=lambda p: (-p[1], p[0]))
-    return Prediction(utterance_id, tuple(scored))
+    return Prediction(utterance_id, _rankings(params, vocab, [text], labels, k)[0])
 
 
 def top1_accuracy(preds: Sequence[Prediction], data: Dataset) -> float:
@@ -109,10 +103,59 @@ def dataset_accuracy(params: ModelParams, vocab: Vocabulary, data: Dataset, k: i
 
 
 def predict_dataset(params: ModelParams, vocab: Vocabulary, data: Dataset, k: int) -> list[Prediction]:
-    return [
-        predict(params, vocab, ex.text, data.labels, k, utterance_id=i)
-        for i, ex in enumerate(data.examples)
-    ]
+    """`predict` for every example; without attention the labels are
+    tokenized and encoded once for the whole dataset."""
+    texts = [ex.text for ex in data.examples]
+    return [Prediction(i, r) for i, r in enumerate(_rankings(params, vocab, texts, data.labels, k))]
+
+
+def _rankings(
+    params: ModelParams,
+    vocab: Vocabulary,
+    texts: Sequence[str],
+    labels: Sequence[IntentLabel],
+    k: int,
+) -> list[tuple[tuple[int, float], ...]]:
+    """The `predict` ranking of each of `texts`."""
+    groups = partition_intents(labels, k)  # checks k and the inventory on both paths
+    if not texts:
+        return []
+    if params.has_attention:
+        scores = np.array([_grouped_scores(params, vocab, text, labels, groups) for text in texts])
+    else:
+        scores = _label_once_scores(params, vocab, texts, labels, groups)
+    ids = np.array([lab.id for lab in labels])
+    rankings = []
+    for row in scores:  # by score descending, then intent id ascending
+        order = np.lexsort((ids, -row))
+        rankings.append(tuple(zip(ids[order].tolist(), row[order].tolist())))
+    return rankings
+
+
+def _encode_groups(params, vocab, text, labels, groups):
+    """The utterance encoded with each group: (embeddings, real slot positions) pairs."""
+    out = []
+    for group in groups:
+        emb = encode(params, tokenize(inference_plan(text, group), labels, vocab))
+        out.append((emb, [pos for pos, intent in enumerate(emb.slot_intents) if intent != PLACEHOLDER]))
+    return out
+
+
+def _grouped_scores(params, vocab, text, labels, groups) -> np.ndarray:
+    """One utterance's scores in inventory order, one `cosine_sim` per group."""
+    encoded = _encode_groups(params, vocab, text, labels, groups)
+    return np.concatenate([cosine_sim(emb.h_u, emb.h_slots[real]) for emb, real in encoded])
+
+
+def _label_once_scores(params, vocab, texts, labels, groups) -> np.ndarray:
+    """Each utterance's row of scores in inventory order, for a model without
+    attention: the labels are encoded once, in their groups' sequences with
+    the first utterance, and each utterance on its own, as a sequence's
+    utterance is projected, so every score has the grouped path's bits."""
+    encoded = _encode_groups(params, vocab, texts[0], labels, groups)
+    h_labels = np.concatenate([emb.h_slots[real] for emb, real in encoded])
+    spans = [utterance_token_ids(text, vocab) for text in texts]
+    return cosine_sim(encode_utterances(params, spans, groups[0].k + 1), h_labels)
 
 
 def _per_intent_accuracy(all_preds, all_gold) -> dict[int, float]:

@@ -28,13 +28,32 @@ class LossConfig:
             raise DataError(f"temperature must be positive, got {self.tau}")
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity, clamped into [-1, 1] against rounding."""
-    nu = float(np.linalg.norm(u))
-    nv = float(np.linalg.norm(v))
-    if nu == 0.0 or nv == 0.0:
+def cosine_scores(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Cosine similarity of every row of `us` (U, d) with every row of `vs`
+    (L, d) as a (U, L) array, clamped into [-1, 1] against rounding.
+
+    Dots and norms are elementwise products summed over the last axis, never
+    a BLAS product, so entry (i, j) depends on the rows us[i] and vs[j] alone
+    and scores the same bits however many rows stand beside them.
+    """
+    nu = np.sqrt((us * us).sum(axis=-1))
+    nv = np.sqrt((vs * vs).sum(axis=-1))
+    if not (nu.all() and nv.all()):
         raise NumericError("cosine similarity of a zero-norm vector")
-    return float(np.clip(float(np.dot(u, v)) / (nu * nv), -1.0, 1.0))
+    out = np.empty((len(us), len(vs)))
+    for i, u in enumerate(us):  # one (L, d) temporary at a time, not (U, L, d)
+        out[i] = (vs * u).sum(axis=-1)
+    out /= nu[:, None] * nv
+    return np.clip(out, -1.0, 1.0, out=out)
+
+
+def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Cosine similarity of `u` with `v`, each a vector or a stack of row
+    vectors: `cosine_scores` without the axis of a side that is one vector,
+    so a float for two vectors."""
+    u, v = np.asarray(u), np.asarray(v)
+    scores = cosine_scores(np.atleast_2d(u), np.atleast_2d(v)).reshape(u.shape[:-1] + v.shape[:-1])
+    return float(scores) if scores.ndim == 0 else scores
 
 
 def _candidate_positions(slot_intents: Sequence[int], cfg: LossConfig) -> list[int]:

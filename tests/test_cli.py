@@ -295,6 +295,22 @@ class TestExitCodes:
         assert message in out.stderr and bad_file in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "name, first, record, line",
+        [  # a field over the csv module's size limit; JSON nested past the recursion limit
+            ("big.csv", "text,category\nhi,greet\n", '"{}",greet\n'.format("x" * 200_000), 3),
+            ("deep.jsonl", '{"text": "hi", "label": "greet"}\n',
+             '{"text": "hi", "label": ' + "[" * 100_000 + "]" * 100_000 + "}\n", 2),
+        ],
+        ids=["csv-field-limit", "jsonl-nesting"],
+    )
+    def test_oversized_record_is_2(self, tmp_path, name, first, record, line):
+        (tmp_path / name).write_text(first + record)
+        out = run_cli(["ingest", "--input", name], cwd=tmp_path)
+        assert out.returncode == 2
+        assert "data error" in out.stderr and f"{name}:{line}:" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_eval_init_dimension_mismatch_is_2(self, synth_dir):
         from fewintent.corpus import load_dataset
         from fewintent.encoder import build_vocab, init_params

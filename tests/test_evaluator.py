@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from fewintent.corpus import Dataset, IntentLabel, LabeledUtterance
-from fewintent.encoder import ModelParams, build_vocab, init_params
-from fewintent.errors import DataError
+from fewintent.encoder import (
+    UTTERANCE_CHUNK,
+    ModelParams,
+    build_vocab,
+    encode,
+    init_params,
+    tokenize,
+)
+from fewintent.errors import DataError, NumericError
 from fewintent.evaluator import (
     EvalReport,
     evaluate_runs,
@@ -16,6 +23,8 @@ from fewintent.evaluator import (
     sweep_k,
     topk_miss,
 )
+from fewintent.objective import cosine_sim
+from fewintent.sequencer import PLACEHOLDER, inference_plan, partition_intents
 from fewintent.trainer import TrainConfig
 
 from conftest import make_dataset
@@ -64,6 +73,133 @@ class TestPredict:
         base = predict(params, vocab, data.examples[2].text, data.labels, k=3)
         again = predict(params, vocab, data.examples[2].text, data.labels, k=3)
         assert base.ranking == again.ranking
+
+
+def grouped_ranking(params, vocab, text, labels, k):
+    """Reference ranking: one sequence per canonical group, one `cosine_sim`
+    per real slot, sorted by (score descending, intent id)."""
+    scored = []
+    for group in partition_intents(labels, k):
+        emb = encode(params, tokenize(inference_plan(text, group), labels, vocab))
+        for pos, intent in enumerate(emb.slot_intents):
+            if intent != PLACEHOLDER:
+                scored.append((intent, cosine_sim(emb.h_u, emb.h_slots[pos])))
+    scored.sort(key=lambda p: (-p[1], p[0]))
+    return tuple(scored)
+
+
+def one_label_task():
+    label = IntentLabel(0, "topic 0-a 0-b", "topic 0-a 0-b")
+    texts = ("topic 0-a please", "help me now", "0-b")
+    return Dataset((label,), tuple(LabeledUtterance(t, 0) for t in texts))
+
+
+class TestAgainstGroupedReference:
+    """Without attention the labels are encoded once and every utterance on
+    its own; the rankings must equal the grouped reference bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n, k, dims, depth",
+        [
+            (12, 4, (64, 64, 64), 2),  # n divisible by k
+            (13, 4, (64, 64, 64), 2),  # last group padded with placeholders
+            (13, 4, (16, 16, 16), 1),
+            (12, 5, (16, 8, 16), 3),
+            # Output widths at which a BLAS product may round a row by stack height.
+            (13, 2, (16, 16, 17), 1),
+            (13, 6, (64, 64, 3), 2),
+            (1, 1, (64, 64, 64), 2),  # one-label inventory
+            (1, 3, (16, 16, 16), 1),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_rankings_bit_identical(self, n, k, dims, depth, seed):
+        if n == 1:
+            data = one_label_task()
+        else:
+            _, data = generate_synthetic(n, 1, 3, seed=seed, test_per_intent=2)
+        vocab = build_vocab([data])
+        params = init_params(len(vocab), *dims, depth=depth, seed=seed)
+        batch = predict_dataset(params, vocab, data, k)
+        assert [p.utterance_id for p in batch] == list(range(len(data.examples)))
+        for i, ex in enumerate(data.examples):
+            ref = grouped_ranking(params, vocab, ex.text, data.labels, k)
+            assert batch[i].ranking == ref
+            online = predict(params, vocab, ex.text, data.labels, k, utterance_id=i)
+            assert online.ranking == ref and online.utterance_id == i
+
+    def test_long_utterance_among_many(self):
+        _, data = generate_synthetic(13, 1, 3, seed=2, test_per_intent=11)
+        long = LabeledUtterance(" ".join([data.examples[0].text] * 2000), 0)
+        data = Dataset(data.labels, (*data.examples[:70], long, *data.examples[70:]))
+        assert len(data.examples) > 2 * UTTERANCE_CHUNK  # rows from several projector passes
+        vocab = build_vocab([data])
+        params = init_params(len(vocab), 16, 16, 17, seed=2)
+        batch = predict_dataset(params, vocab, data, 4)
+        for pred, ex in zip(batch, data.examples):
+            assert pred.ranking == grouped_ranking(params, vocab, ex.text, data.labels, 4)
+
+    @pytest.mark.parametrize("n, k", [(12, 4), (13, 4)])
+    def test_attention_group_scores_match_per_slot_loop(self, n, k):
+        _, data = generate_synthetic(n, 1, 3, seed=5, test_per_intent=1)
+        vocab = build_vocab([data])
+        params = init_params(len(vocab), 16, 16, 16, seed=5, attention=True)
+        batch = predict_dataset(params, vocab, data, k)
+        for i, ex in enumerate(data.examples):
+            ref = grouped_ranking(params, vocab, ex.text, data.labels, k)
+            assert batch[i].ranking == ref
+            assert predict(params, vocab, ex.text, data.labels, k).ranking == ref
+
+
+def _error_cases():
+    """(name, mutate) pairs; `mutate(params, labels)` returns the text, labels
+    and parameters to predict with."""
+    def empty_utterance(params, labels):
+        return "?! ...", labels, params
+
+    def empty_label(params, labels):
+        bad = IntentLabel(1, "??", "??")
+        return "topic please", (labels[0], bad, *labels[2:]), params
+
+    def out_of_order(params, labels):
+        return "topic please", tuple(reversed(labels)), params
+
+    def non_finite(params, labels):
+        params.proj_biases[-1][0] = np.nan
+        return "topic please", labels, params
+
+    def zero_norm(params, labels):
+        params.proj_weights[-1][:] = 0.0
+        params.proj_biases[-1][:] = 0.0
+        return "topic please", labels, params
+
+    return [
+        pytest.param(empty_utterance, DataError, id="utterance-without-tokens"),
+        pytest.param(empty_label, DataError, id="label-without-tokens"),
+        pytest.param(out_of_order, DataError, id="labels-out-of-order"),
+        pytest.param(non_finite, NumericError, id="non-finite-params"),
+        pytest.param(zero_norm, NumericError, id="zero-norm"),
+    ]
+
+
+class TestErrorParity:
+    """Both prediction paths raise what the grouped reference raises."""
+
+    @pytest.mark.parametrize("mutate, error", _error_cases())
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_same_error_as_reference(self, mutate, error, attention):
+        pool, _ = generate_synthetic(5, 1, 1, seed=0, test_per_intent=1)
+        vocab = build_vocab([pool])
+        params = init_params(len(vocab), 8, 8, 8, seed=0, attention=attention)
+        text, labels, params = mutate(params, pool.labels)
+        with pytest.raises(error):
+            grouped_ranking(params, vocab, text, labels, 2)
+        with pytest.raises(error):
+            predict(params, vocab, text, labels, 2)
+        if all(lab.id == i for i, lab in enumerate(labels)):  # else Dataset rejects the labels
+            examples = (LabeledUtterance("topic please", 0), LabeledUtterance(text, 1))
+            with pytest.raises(error):
+                predict_dataset(params, vocab, Dataset(labels, examples), 2)
 
 
 class TestEvaluateRuns:

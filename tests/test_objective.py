@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from fewintent.encoder import SequenceEmbeddings
 from fewintent.errors import DataError, NumericError
-from fewintent.objective import LossConfig, batch_loss, cosine_sim, sequence_loss
+from fewintent.objective import LossConfig, batch_loss, cosine_scores, cosine_sim, sequence_loss
 from fewintent.sequencer import PLACEHOLDER
 
 
@@ -51,6 +51,49 @@ class TestCosine:
     def test_clamped(self):
         v = np.array([1e-200, 1.0])
         assert -1.0 <= cosine_sim(v, -v) <= 1.0
+
+
+class TestCosineScores:
+    @given(
+        n_u=st.integers(1, 5),
+        n_v=st.integers(1, 5),
+        extra_u=st.integers(0, 40),
+        extra_v=st.integers(0, 40),
+        d=st.integers(1, 70),
+        seed=st.integers(0, 2**16),
+    )
+    def test_entries_are_cosine_sim_in_any_stack(self, n_u, n_v, extra_u, extra_v, d, seed):
+        rng = np.random.default_rng(seed)
+        us = rng.normal(size=(n_u + extra_u, d))
+        vs = rng.normal(size=(n_v + extra_v, d))
+        full = cosine_scores(us, vs)
+        assert full.shape == (n_u + extra_u, n_v + extra_v)
+        assert np.array_equal(full[:n_u, :n_v], cosine_scores(us[:n_u], vs[:n_v]))
+        for i in range(n_u):
+            for j in range(n_v):
+                assert full[i, j] == cosine_sim(us[i], vs[j])
+
+    def test_cosine_sim_drops_the_axis_of_a_vector(self):
+        rng = np.random.default_rng(0)
+        us, vs = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
+        assert isinstance(cosine_sim(us[0], vs[0]), float)
+        assert np.array_equal(cosine_sim(us[0], vs), cosine_scores(us[:1], vs)[0])
+        assert np.array_equal(cosine_sim(us, vs[0]), cosine_scores(us, vs[:1])[:, 0])
+        assert np.array_equal(cosine_sim(us, vs), cosine_scores(us, vs))
+
+    def test_clamped(self):
+        # Unclamped, this vector's cosine with itself rounds to 1 + 2**-52.
+        u = np.array([[1.0425133694426776, -0.12853466294403426]])
+        assert cosine_scores(u, u)[0, 0] == 1.0
+        assert cosine_scores(u, -u)[0, 0] == -1.0
+
+    @pytest.mark.parametrize("side", ["us", "vs"])
+    def test_zero_norm_row_raises(self, side):
+        rows = np.ones((3, 4))
+        rows[1] = 0.0
+        args = (rows, np.ones((2, 4))) if side == "us" else (np.ones((2, 4)), rows)
+        with pytest.raises(NumericError):
+            cosine_scores(*args)
 
 
 class TestClosedForms:

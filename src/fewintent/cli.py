@@ -38,7 +38,6 @@ from .pretrain import (
     pairs_from_tsv,
     write_plans_jsonl,
 )
-from .sequencer import choose_k
 from .trainer import (
     TrainConfig,
     dataset_items,
@@ -79,7 +78,7 @@ _HYPERPARAMS = [
     Opt("batch_size", "int", 8, "sequences per optimizer step"),
     Opt("learning_rate", "float", 1e-2, "step size"),
     Opt("epochs", "int", 10, "training epochs"),
-    Opt("shuffles", "int", None, "slot shuffles per sequence per epoch (default: k)"),
+    Opt("shuffles", "int", None, "times each plan is repeated per epoch (default: k)"),
     Opt("optimizer", "str", "adam", "sgd or adam"),
     Opt("selection", "str", "dev_accuracy", "model selection: dev_accuracy or train_loss"),
     Opt("d_emb", "int", 64, "embedding dimension"),
@@ -358,7 +357,7 @@ def _predict_checkpoint(cfg: dict):
     """Rank every --test utterance with the --ckpt model; returns (test set, k, predictions)."""
     params, vocab = load_checkpoint(cfg["ckpt"])
     test_data = _load(cfg["test"], cfg)
-    k = cfg["k"] or choose_k(test_data.n_intents, cfg["k_min"], cfg["k_max"])
+    k = TrainConfig(**{o.name: cfg[o.name] for o in _GROUP_SIZE}).group_size(test_data.n_intents)
     return test_data, k, predict_dataset(params, vocab, test_data, k)
 
 
@@ -477,12 +476,14 @@ def _cmd_pretrain_para(cfg: dict, explicit: set[str], writer: _Writer):
     kept = filter_pairs(raw_pairs, cfg["max_words"], cfg["max_chars"])
     if not kept:
         raise DataError("no paraphrase pairs survive the length filter")
-    if cfg["n_target"]:
+    if cfg["n_target"] is not None:
         n_target = cfg["n_target"]
     elif cfg["target"]:
         n_target = _load(cfg["target"], cfg).n_intents
     else:
         raise UsageError("pretrain-para needs --n-target or --target")
+    if n_target < 2:
+        raise DataError(f"need at least 2 candidates, got {n_target}")
     tc = _train_config(cfg)
     k = tc.group_size(n_target)
 

@@ -2,9 +2,9 @@
 and out-of-domain pooling.
 
 File formats: CSV with a ``text,category`` header, or JSONL records carrying
-``text``, ``label`` and an optional ``domain``. An optional label-inventory
-sidecar (one raw label per line) pins the label order; otherwise labels are
-enumerated in first-appearance order.
+string ``text`` and ``label`` fields and an optional string ``domain``. An
+optional label-inventory sidecar (one raw label per line) pins the label
+order; otherwise labels are enumerated in first-appearance order.
 """
 
 from __future__ import annotations
@@ -156,7 +156,10 @@ def _rows_from_jsonl(path: Path) -> Iterable[tuple[int, str, str, str | None]]:
                 raise DataError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
             if not isinstance(rec, dict) or "text" not in rec or "label" not in rec:
                 raise DataError(f"{path}:{lineno}: record needs 'text' and 'label' fields")
-            yield lineno, str(rec["text"]), str(rec["label"]), rec.get("domain")
+            text, label, domain = rec["text"], rec["label"], rec.get("domain")
+            if not all(isinstance(v, str) for v in (text, label, "" if domain is None else domain)):
+                raise DataError(f"{path}:{lineno}: text and label must be strings, domain a string or null")
+            yield lineno, text, label, domain
 
 
 def load_dataset(

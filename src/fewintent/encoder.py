@@ -101,7 +101,6 @@ class TokenizedSequence:
     slot_spans: tuple[tuple[int, int], ...]
     slot_intents: tuple[int, ...]
     gold_slot: int | None
-    plan: SequencePlan
 
 
 def utterance_token_ids(text: str, vocab: Vocabulary) -> list[int]:
@@ -133,9 +132,7 @@ def tokenize(plan: SequencePlan, labels: Sequence[IntentLabel], vocab: Vocabular
             raise DataError(f"label {labels[intent].surface!r} has no tokens")
         spans.append((start, len(ids)))
         intents.append(intent)
-    return TokenizedSequence(
-        tuple(ids), utterance_span, tuple(spans), tuple(intents), plan.gold_slot, plan
-    )
+    return TokenizedSequence(tuple(ids), utterance_span, tuple(spans), tuple(intents), plan.gold_slot)
 
 
 @dataclass

@@ -5,10 +5,10 @@ parameters, the training items of a dataset, and when dev accuracy selects the
 best epoch. Fine-tuning and out-of-domain pretraining both run `train`;
 paraphrase pretraining feeds its own items to `fit_items`.
 
-Every epoch rebuilds the augmentation pool (fresh slot shuffles per plan),
-steps SGD or Adam on exact batch gradients, and tracks the best epoch by dev
-accuracy or training loss. Checkpoints serialize parameters and vocabulary
-bit-exactly.
+Every epoch runs each plan as built, `shuffles_per_sequence` (default k)
+times, in seeded order; it steps SGD or Adam on exact batch gradients and
+tracks the best epoch by dev accuracy or training loss. Checkpoints
+serialize parameters and vocabulary bit-exactly.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from .encoder import (
 )
 from .errors import CheckpointError, DataError, NumericError
 from .objective import LossConfig
-from .sequencer import SequencePlan, augment_shuffles, build_plans, choose_k, partition_intents
+from .sequencer import build_plans, choose_k, partition_intents
+from .sequencer import augment_shuffles  # noqa: F401  perfbench/layers.py traces it here
 
 # Dev-based selection needs this many dev examples; below it, training loss selects.
 MIN_DEV_FOR_SELECTION = 10
@@ -51,7 +52,7 @@ class TrainConfig:
     learning_rate: float = 1e-2
     epochs: int = 10
     seed: int = 0
-    shuffles_per_sequence: int | None = None  # None means k shuffles per plan
+    shuffles_per_sequence: int | None = None  # runs of each plan per epoch; None means k
     optimizer: str = "adam"
     selection: str = "dev_accuracy"
     d_emb: int = 64
@@ -179,20 +180,21 @@ def fit_items(
     best_key = None
     best_params = params.copy()
 
+    plans = [(plan, item.labels) for item in items for plan in item.plans]
+    # Each plan runs as built, `shuffles_per_sequence` (default k) times an epoch. With no
+    # positional signal in the encoder, a slot-shuffled copy would only repeat its gradients.
+    pool = [p for p in plans for _ in range(cfg.shuffles_per_sequence or p[0].group.k)]
+
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
-        pool: list[tuple[int, SequencePlan]] = []
-        for idx, item in enumerate(items):
-            for plan in item.plans:
-                count = cfg.shuffles_per_sequence or plan.group.k
-                child_seed = int(rng.integers(0, 2**32))
-                pool.extend((idx, p) for p in augment_shuffles(plan, count, child_seed))
+        # One draw per plan, as when each seeded its shuffled copies: batches stay the same.
+        rng.integers(0, 2**32, size=len(plans))
         order = rng.permutation(len(pool))
 
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             picks = order[start : start + cfg.batch_size]
-            seqs = [tokenize(pool[i][1], items[pool[i][0]].labels, vocab) for i in picks]
+            seqs = [tokenize(*pool[i], vocab) for i in picks]
             loss, grads = loss_and_param_grads(params, seqs, loss_cfg)
             if not np.isfinite(loss):
                 raise NumericError(
@@ -203,13 +205,9 @@ def fit_items(
         epoch_loss = total / len(pool)
         losses.append(epoch_loss)
 
-        if dev_scorer is not None:
-            metric = dev_scorer(params)
-            key = metric
-        else:
-            metric = epoch_loss
-            key = -epoch_loss
+        metric = epoch_loss if dev_scorer is None else dev_scorer(params)
         metrics.append(metric)
+        key = -metric if dev_scorer is None else metric
         if best_key is None or key > best_key:
             best_key = key
             best_epoch = epoch

@@ -348,6 +348,35 @@ class TestExitCodes:
         assert "data error" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("command", ["zeroshot", "diagnose-topk"])
+    def test_zero_group_size_is_2(self, synth_dir, command):
+        from fewintent.corpus import load_dataset
+        from fewintent.encoder import build_vocab, init_params
+        from fewintent.trainer import save_checkpoint
+
+        vocab = build_vocab([load_dataset(synth_dir / "data/train.jsonl", "jsonl")])
+        save_checkpoint(init_params(len(vocab), 8, 8, 8), vocab, synth_dir / "m.ckpt")
+        out = run_cli(
+            [command, "--ckpt", "m.ckpt", "--test", "data/test.jsonl",
+             "--k", "0", "--k-min", "2", "--out", "z.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 2
+        assert "group size must be >= 1" in out.stderr
+
+    @pytest.mark.parametrize("n_target", ["0", "1"])
+    def test_pretrain_para_too_few_candidates_is_2(self, tmp_path, n_target):
+        lines = [f"alpha{c} gamma\tbeta{c} delta" for c in range(6)]
+        (tmp_path / "pairs.tsv").write_text("\n".join(lines) + "\n")
+        out = run_cli(
+            ["pretrain-para", "--pairs", "pairs.tsv", "--n-target", n_target,
+             "--k-min", "2", *TINY, "--out", "p.jsonl"],
+            cwd=tmp_path,
+        )
+        assert out.returncode == 2
+        assert "need at least 2 candidates" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_help_is_0(self, tmp_path):
         out = run_cli(["--help"], cwd=tmp_path)
         assert out.returncode == 0

@@ -81,6 +81,32 @@ class TestLoadDataset:
         with pytest.raises(DataError, match=r":2"):
             load_dataset(p, "jsonl")
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"text": None, "label": {"b": 1}},
+            {"text": None, "label": "a"},
+            {"text": ["hi"], "label": "a"},
+            {"text": 5, "label": "a"},
+            {"text": "hi", "label": None},
+            {"text": "hi", "label": {"b": 1}},
+            {"text": "hi", "label": ["a"]},
+            {"text": "hi", "label": "a", "domain": 3},
+            {"text": "hi", "label": "a", "domain": ["d"]},
+            {"text": "hi", "label": "a", "domain": {"d": 1}},
+        ],
+    )
+    def test_non_string_field_reports_line(self, tmp_path, record):
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps({"text": "hi", "label": "a"}) + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(DataError, match=r"d\.jsonl:2: .*must be"):
+            load_dataset(p, "jsonl")
+
+    def test_null_domain_is_absent(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps({"text": "hi", "label": "a", "domain": None}) + "\n")
+        assert load_dataset(p, "jsonl").examples[0].domain is None
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_dataset(tmp_path / "nope.csv", "csv")

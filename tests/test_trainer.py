@@ -1,3 +1,4 @@
+import math
 import struct
 import zlib
 
@@ -5,14 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fewintent import trainer
 from fewintent.corpus import split_dev
-from fewintent.encoder import UNK_ID, Vocabulary, build_vocab, init_params
+from fewintent.encoder import (
+    UNK_ID,
+    Vocabulary,
+    build_vocab,
+    init_params,
+    loss_and_param_grads,
+    tokenize,
+)
 from fewintent.errors import CheckpointError, DataError, NumericError
 from fewintent.evaluator import generate_synthetic
+from fewintent.sequencer import augment_shuffles
 from fewintent.trainer import (
     TrainConfig,
     _Adam,
+    _make_optimizer,
     _Sgd,
+    dataset_items,
+    fit_items,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -101,6 +114,99 @@ class TestTrain:
         bad.embedding[:] = np.nan
         with pytest.raises(NumericError):
             train(data, None, small_cfg(), init=(bad, vocab))
+
+
+def shuffled_copy_schedule(items, vocab, params, cfg):
+    """The scheduler `fit_items` replaced: each epoch, every plan seeds `count`
+    slot-shuffled copies of itself, and the pool of copies is permuted.
+
+    Returns the per-epoch losses and, per epoch, each batch's
+    (utterance, group index) pairs.
+    """
+    opt = _make_optimizer(cfg)
+    losses, batches = [], []
+    for epoch in range(cfg.epochs):
+        rng = np.random.default_rng([cfg.seed, epoch])
+        pool = []
+        for idx, item in enumerate(items):
+            for plan in item.plans:
+                count = cfg.shuffles_per_sequence or plan.group.k
+                child_seed = int(rng.integers(0, 2**32))
+                pool.extend((idx, p) for p in augment_shuffles(plan, count, child_seed))
+        order = rng.permutation(len(pool))
+        total = 0.0
+        epoch_batches = []
+        for start in range(0, len(order), cfg.batch_size):
+            picks = order[start : start + cfg.batch_size]
+            epoch_batches.append([(pool[i][1].utterance, pool[i][1].group.index) for i in picks])
+            seqs = [tokenize(pool[i][1], items[pool[i][0]].labels, vocab) for i in picks]
+            loss, grads = loss_and_param_grads(params, seqs, cfg.loss_config())
+            opt.step(params, grads)
+            total += loss * len(picks)
+        losses.append(total / len(pool))
+        batches.append(epoch_batches)
+    return losses, batches
+
+
+def recorded_schedule(items, vocab, params, cfg, monkeypatch):
+    """`fit_items` on the same inputs, with the same return shape as
+    `shuffled_copy_schedule`, read off its `tokenize` and gradient calls."""
+    batches, epoch_batches, pending = [], [], []
+
+    def record_tokenize(plan, labels, vocab):
+        pending.append((plan.utterance, plan.group.index))
+        return tokenize(plan, labels, vocab)
+
+    def record_batch(params, seqs, cfg):
+        epoch_batches.append(pending[:])
+        pending.clear()
+        return loss_and_param_grads(params, seqs, cfg)
+
+    def end_epoch(record):
+        batches.append(epoch_batches[:])
+        epoch_batches.clear()
+
+    monkeypatch.setattr(trainer, "tokenize", record_tokenize)
+    monkeypatch.setattr(trainer, "loss_and_param_grads", record_batch)
+    _, report = fit_items(items, vocab, params, cfg, log=end_epoch)
+    return report.epoch_losses, batches
+
+
+class TestAgainstShuffledCopies:
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("shuffles", [None, 1, 2])
+    def test_same_batches_and_losses(self, attention, shuffles, monkeypatch):
+        # 5 intents in groups of 3: the second group holds a placeholder slot.
+        data = make_dataset(n_intents=5, per_intent=2)
+        cfg = small_cfg(k=3, epochs=3, batch_size=3, shuffles_per_sequence=shuffles,
+                        attention=attention)
+        items = dataset_items(data, cfg.k)
+        vocab = build_vocab([data])
+        ref_losses, ref_batches = shuffled_copy_schedule(items, vocab, cfg.new_params(vocab), cfg)
+        losses, batches = recorded_schedule(items, vocab, cfg.new_params(vocab), cfg, monkeypatch)
+
+        assert batches == ref_batches
+        n_plans = sum(len(item.plans) for item in items)
+        per_epoch = math.ceil(n_plans * (shuffles or cfg.k) / cfg.batch_size)
+        assert [len(epoch) for epoch in batches] == [per_epoch] * cfg.epochs
+        assert losses == pytest.approx(ref_losses, rel=1e-9, abs=0)
+
+    def test_plans_run_as_built(self, monkeypatch):
+        data = make_dataset(n_intents=5, per_intent=1)
+        cfg = small_cfg(k=3, epochs=1)
+        items = dataset_items(data, cfg.k)
+        seen = []
+
+        def record_tokenize(plan, labels, vocab):
+            seen.append(plan)
+            return tokenize(plan, labels, vocab)
+
+        monkeypatch.setattr(trainer, "tokenize", record_tokenize)
+        vocab = build_vocab([data])
+        fit_items(items, vocab, cfg.new_params(vocab), cfg)
+        built = {plan for item in items for plan in item.plans}
+        assert set(seen) == built
+        assert len(seen) == len(built) * cfg.shuffles_per_sequence
 
 
 class TestOptimizers:

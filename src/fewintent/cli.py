@@ -319,8 +319,8 @@ def _load(path: str, cfg: dict) -> Dataset:
 
 def _train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig that a command's resolved `_HYPERPARAMS` entries describe."""
-    kwargs = {o.name: cfg[o.name] for o in _HYPERPARAMS}
-    kwargs["shuffles_per_sequence"] = kwargs.pop("shuffles")
+    kwargs = {o.name: cfg[o.name] for o in _HYPERPARAMS if o.name in cfg}
+    kwargs["shuffles_per_sequence"] = kwargs.pop("shuffles", None)
     # eval has no --seed: evaluate_runs seeds each run from --seeds.
     return TrainConfig(seed=cfg.get("seed", 0), **kwargs)
 
@@ -357,7 +357,7 @@ def _predict_checkpoint(cfg: dict):
     """Rank every --test utterance with the --ckpt model; returns (test set, k, predictions)."""
     params, vocab = load_checkpoint(cfg["ckpt"])
     test_data = _load(cfg["test"], cfg)
-    k = TrainConfig(**{o.name: cfg[o.name] for o in _GROUP_SIZE}).group_size(test_data.n_intents)
+    k = _train_config(cfg).group_size(test_data.n_intents)
     return test_data, k, predict_dataset(params, vocab, test_data, k)
 
 
@@ -541,7 +541,7 @@ def _cmd_sweep_k(cfg: dict, explicit: set[str], writer: _Writer):
     train_data, dev_data = _split(data, cfg)
     if dev_data is None or not dev_data.examples:
         raise DataError("sweep-k needs a non-empty dev set: pass --dev or a larger --dev-fraction")
-    tc = _train_config(dict(cfg, k=None))
+    tc = _train_config(cfg)
     writer.write({
         "record": "choose_k",
         "n": data.n_intents,
@@ -606,6 +606,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         cfg, explicit = _resolve(args)
+        if any(o.name in cfg for o in _HYPERPARAMS):
+            _train_config(cfg)  # out-of-range hyperparameters end the run before any output
         writer = _Writer(cfg.get("out"))
         try:
             writer.write({"record": "config", "command": args._command, "config": cfg})

@@ -251,6 +251,11 @@ def _softmax_rows(scores: np.ndarray) -> np.ndarray:
 def _project(params: ModelParams, z: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     """The shared projector over pooled rows, `z` of shape (..., d_emb).
 
+    Row-exact: each row is multiplied as its own 1-row product, so its output
+    has the same bits in a stack of any height, at any position, and alone.
+    A single BLAS product over the stack may round a row by its position and
+    the stack height, which would let a label's vector depend on its slot.
+
     Returns each layer's input (kept for backprop) and the output; a
     non-finite output is a NumericError.
     """
@@ -258,7 +263,7 @@ def _project(params: ModelParams, z: np.ndarray) -> tuple[list[np.ndarray], np.n
     h = z
     last = len(params.proj_weights) - 1
     for i, (w, b) in enumerate(zip(params.proj_weights, params.proj_biases)):
-        h = h @ w + b
+        h = (h[..., None, :] @ w)[..., 0, :] + b
         if i < last:
             h = np.tanh(h)
             acts.append(h)
@@ -296,32 +301,13 @@ def encode(params: ModelParams, seq: TokenizedSequence) -> SequenceEmbeddings:
     return emb
 
 
-UTTERANCE_CHUNK = 16  # utterances per projector pass in encode_utterances
-
-
-def encode_utterances(params: ModelParams, spans: Sequence[Sequence[int]], height: int) -> np.ndarray:
+def encode_spans(params: ModelParams, spans: Sequence[Sequence[int]]) -> np.ndarray:
     """Projected representation of each token-id span on its own, for a
-    model without attention, where an utterance's representation depends on
-    its own tokens only.
-
-    A span is mean-pooled as ``encode`` pools a sequence's utterance and
-    projected as row 0 of its own stack of `height` rows, the place
-    ``encode`` gives the utterance of a sequence with ``height - 1`` slots
-    (numpy multiplies a 3-D stack one matrix at a time). A BLAS product may
-    round a row differently in a stack of another height but rounds it the
-    same in a stack of the same shape, so each row has the bits ``encode``
-    gives it. Spans are projected ``UTTERANCE_CHUNK`` at a time to bound
-    memory.
-    """
-    h = np.empty((len(spans), params.d_out))
-    for start in range(0, len(spans), UTTERANCE_CHUNK):
-        chunk = spans[start : start + UTTERANCE_CHUNK]
-        z = np.zeros((len(chunk), height, params.d_emb))
-        for i, span in enumerate(chunk):
-            z[i, 0] = params.embedding[span].mean(axis=0)
-        _, out = _project(params, z)
-        h[start : start + len(chunk)] = out[:, 0]
-    return h
+    model without attention: each span is mean-pooled as ``encode`` pools a
+    sequence's spans, and the row-exact projector gives it the bits
+    ``encode`` gives it in any sequence."""
+    z = np.stack([params.embedding[span].mean(axis=0) for span in spans])
+    return _project(params, z)[1]
 
 
 def _backward(params, cache, dh_u, dh_slots, grads: ModelParams):

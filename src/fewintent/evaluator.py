@@ -11,7 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .corpus import Dataset, IntentLabel, LabeledUtterance, sample_few_shot, split_dev
-from .encoder import ModelParams, Vocabulary, encode, encode_utterances, tokenize, utterance_token_ids
+from .encoder import ModelParams, Vocabulary, encode, encode_spans, tokenize, utterance_token_ids
 from .errors import DataError
 from .objective import cosine_sim
 from .pretrain import ParaphrasePair, TfidfIndex
@@ -86,7 +86,8 @@ def predict(
     enter the ranking. With attention, the utterance attends over its group,
     so it is encoded with each group. Without attention, a label's
     representation depends on neither the utterance nor the rest of its
-    group, so `predict_dataset` encodes the labels once for all utterances.
+    group, so each label span is encoded once on its own, and
+    `predict_dataset` scores every utterance against the same label rows.
     """
     return Prediction(utterance_id, _rankings(params, vocab, [text], labels, k)[0])
 
@@ -132,30 +133,28 @@ def _rankings(
     return rankings
 
 
-def _encode_groups(params, vocab, text, labels, groups):
-    """The utterance encoded with each group: (embeddings, real slot positions) pairs."""
-    out = []
-    for group in groups:
-        emb = encode(params, tokenize(inference_plan(text, group), labels, vocab))
-        out.append((emb, [pos for pos, intent in enumerate(emb.slot_intents) if intent != PLACEHOLDER]))
-    return out
-
-
 def _grouped_scores(params, vocab, text, labels, groups) -> np.ndarray:
     """One utterance's scores in inventory order, one `cosine_sim` per group."""
-    encoded = _encode_groups(params, vocab, text, labels, groups)
-    return np.concatenate([cosine_sim(emb.h_u, emb.h_slots[real]) for emb, real in encoded])
+    scores = []
+    for group in groups:
+        emb = encode(params, tokenize(inference_plan(text, group), labels, vocab))
+        real = [pos for pos, intent in enumerate(emb.slot_intents) if intent != PLACEHOLDER]
+        scores.append(cosine_sim(emb.h_u, emb.h_slots[real]))
+    return np.concatenate(scores)
 
 
 def _label_once_scores(params, vocab, texts, labels, groups) -> np.ndarray:
     """Each utterance's row of scores in inventory order, for a model without
-    attention: the labels are encoded once, in their groups' sequences with
-    the first utterance, and each utterance on its own, as a sequence's
-    utterance is projected, so every score has the grouped path's bits."""
-    encoded = _encode_groups(params, vocab, texts[0], labels, groups)
-    h_labels = np.concatenate([emb.h_slots[real] for emb, real in encoded])
-    spans = [utterance_token_ids(text, vocab) for text in texts]
-    return cosine_sim(encode_utterances(params, spans, groups[0].k + 1), h_labels)
+    attention: every label span and every utterance is encoded once on its
+    own, which gives each the bits a sequence gives it."""
+    label_spans = []
+    for group in groups:  # `tokenize` checks the labels as the grouped path does
+        seq = tokenize(inference_plan(texts[0], group), labels, vocab)
+        for (s, e), intent in zip(seq.slot_spans, seq.slot_intents):
+            if intent != PLACEHOLDER:
+                label_spans.append(list(seq.token_ids[s:e]))
+    utterance_spans = [utterance_token_ids(text, vocab) for text in texts]
+    return cosine_sim(encode_spans(params, utterance_spans), encode_spans(params, label_spans))
 
 
 def _per_intent_accuracy(all_preds, all_gold) -> dict[int, float]:

@@ -63,10 +63,16 @@ class TrainConfig:
     min_count: int = 1
 
     def __post_init__(self):
-        if self.batch_size < 1 or self.epochs < 0 or self.learning_rate <= 0:
-            raise DataError("batch_size/epochs/learning_rate out of range")
-        if self.tau <= 0:
-            raise DataError(f"temperature must be positive, got {self.tau}")
+        if self.batch_size < 1 or self.epochs < 0:
+            raise DataError("batch_size/epochs out of range")
+        for name in ("tau", "learning_rate"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DataError(f"{name} must be positive and finite, got {value}")
+        lows = {"d_emb": 1, "d_hidden": 1, "d_out": 2, "projector_depth": 1, "min_count": 1}
+        for name, low in lows.items():  # d_out: cosine needs two output dimensions
+            if getattr(self, name) < low:
+                raise DataError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.k is not None and self.k < 1:
             raise DataError(f"group size must be >= 1, got {self.k}")
         if self.shuffles_per_sequence is not None and self.shuffles_per_sequence < 1:

@@ -40,14 +40,15 @@ def restamp_vocab_blob(path, blob):
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def run_python(args, cwd):
+def run_python(args, cwd, env=None):
     """Run `python *args` in `cwd` against the package copy imported here.
 
     The child's PYTHONPATH starts with the absolute PACKAGE_ROOT, so a relative
     entry such as `PYTHONPATH=src` cannot leave it importing nothing (or another
-    copy) once it starts in a different working directory.
+    copy) once it starts in a different working directory. `env`, a mapping,
+    is merged into the child's environment only.
     """
-    env = dict(os.environ)
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         [PACKAGE_ROOT, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     )

@@ -377,6 +377,26 @@ class TestExitCodes:
         assert "need at least 2 candidates" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            *[(flag, "0") for flag in
+              ("--d-emb", "--d-hidden", "--d-out", "--projector-depth", "--min-count")],
+            ("--tau", "nan"), ("--tau", "inf"),
+            ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+        ],
+    )
+    def test_untrainable_config_is_2_before_output(self, synth_dir, flag, value):
+        out = run_cli(
+            ["train", "--train", "data/train.jsonl", "--k", "4", "--epochs", "1",
+             "--dev-fraction", "0", flag, value, "--out", "t.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 2
+        assert "data error" in out.stderr and "Traceback" not in out.stderr
+        metrics = synth_dir / "t.jsonl"
+        assert not metrics.exists() or metrics.read_text() == ""
+
     def test_help_is_0(self, tmp_path):
         out = run_cli(["--help"], cwd=tmp_path)
         assert out.returncode == 0

@@ -1,5 +1,8 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fewintent.corpus import Dataset, IntentLabel, LabeledUtterance
 from fewintent.encoder import (
@@ -7,6 +10,7 @@ from fewintent.encoder import (
     SEP_ID,
     UNK_ID,
     ModelParams,
+    _project,
     build_vocab,
     encode,
     grad_check,
@@ -26,7 +30,7 @@ from fewintent.sequencer import (
     partition_intents,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, run_python
 
 
 def freeze_card_setup():
@@ -153,6 +157,43 @@ class TestEncode:
             np.testing.assert_array_equal(emb.z_u, base.z_u)
             for p, intent in enumerate(emb.slot_intents):
                 np.testing.assert_array_equal(emb.h_slots[p], by_intent[intent])
+
+
+class TestRowExactProjector:
+    """A row's projection has the same bits in any stack as alone, so a
+    label's vector cannot depend on its slot or on the group size."""
+
+    @pytest.mark.parametrize(
+        "dims",
+        [(8, 2), (16, 3), (64, 17), (64, 64), (16, 16, 3), (64, 64, 17)],
+        ids=lambda dims: "x".join(map(str, dims)),
+    )
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_rows_projected_alone(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        params = ModelParams(
+            rng.uniform(-1, 1, (4, dims[0])),
+            [rng.uniform(-1, 1, (a, b)) for a, b in zip(dims, dims[1:])],
+            [rng.uniform(-1, 1, b) for b in dims[1:]],
+        )
+        rows = rng.uniform(-1, 1, (40, dims[0]))
+        alone = np.stack([_project(params, row)[1] for row in rows])
+        for height in range(1, 41):
+            picked = rng.permutation(40)[:height]
+            _, h = _project(params, rows[picked])
+            np.testing.assert_array_equal(h.view(np.int64), alone[picked].view(np.int64))
+
+    def test_order_invariance_criterion_under_nehalem_kernel(self, tmp_path):
+        # OpenBLAS's Nehalem kernel rounds a plain product's rows by their
+        # position in the stack; set for the child only.
+        test = Path(__file__).with_name("test_acceptance.py")
+        out = run_python(
+            ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{test}::test_criterion_4_order_invariance"],
+            tmp_path, env={"OPENBLAS_CORETYPE": "Nehalem"},
+        )
+        assert out.returncode == 0, out.stdout + out.stderr
 
 
 def small_batch(seed=0, n_intents=5, k=2):

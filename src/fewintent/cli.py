@@ -608,6 +608,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg, explicit = _resolve(args)
         if any(o.name in cfg for o in _HYPERPARAMS):
             _train_config(cfg)  # out-of-range hyperparameters end the run before any output
+        negative = [s for s in (cfg.get("seed", 0), *cfg.get("seeds", ())) if s < 0]
+        if negative:
+            raise DataError(f"seeds must be non-negative, got {negative[0]}")
         writer = _Writer(cfg.get("out"))
         try:
             writer.write({"record": "config", "command": args._command, "config": cfg})

@@ -4,6 +4,11 @@ The backbone is deliberately small and fully differentiable by hand: an
 embedding lookup, optional single self-attention layer, span mean pooling, and
 a shared MLP projector applied to the utterance span and every label slot.
 All gradients are analytic and checked against central finite differences.
+
+Training runs one batch kernel (`loss_and_param_grads`): one projector pass,
+array loss, backward pass and embedding scatter per batch, with each distinct
+span of an attention-free batch encoded once. Every path pools a span to the
+mean of its token rows with `ndarray.mean`'s bits.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import numpy as np
 
 from .corpus import Dataset, IntentLabel
 from .errors import DataError, NumericError
-from .objective import LossConfig, batch_loss
+from .objective import LossConfig, batch_loss, loss_targets
 from .sequencer import PLACEHOLDER, SequencePlan
 
 PAD_ID, UNK_ID, SEP_ID, PLH_ID = 0, 1, 2, 3
@@ -111,28 +116,48 @@ def utterance_token_ids(text: str, vocab: Vocabulary) -> list[int]:
     return ids
 
 
-def tokenize(plan: SequencePlan, labels: Sequence[IntentLabel], vocab: Vocabulary) -> TokenizedSequence:
-    """Lay out one plan as token ids with utterance/slot spans recorded."""
-    ids = utterance_token_ids(plan.utterance.text, vocab)
-    utterance_span = (0, len(ids))
-    spans = []
-    intents = []
-    for pos in range(plan.group.k):
-        intent = plan.intent_at(pos)
-        ids.append(SEP_ID)
-        start = len(ids)
-        if intent == PLACEHOLDER:
-            ids.append(PLH_ID)
-        else:
+def plan_word_ids(
+    plans: Iterable[tuple[SequencePlan, Sequence[IntentLabel]]], vocab: Vocabulary
+) -> dict[str, tuple[int, ...]]:
+    """Token ids of every utterance text and label surface the (plan, labels)
+    pairs lay out, each text tokenized once. Raises what `tokenize` raises."""
+    ids: dict[str, tuple[int, ...]] = {}
+    for plan, labels in plans:
+        text = plan.utterance.text
+        if text not in ids:
+            ids[text] = tuple(utterance_token_ids(text, vocab))
+        for intent in plan.group.slots:
+            if intent == PLACEHOLDER:
+                continue
             lab = labels[intent]
             if lab.id != intent:
                 raise DataError(f"label list out of order at id {intent}")
-            ids.extend(vocab.id_of(w) for w in word_tokens(lab.surface))
-        if len(ids) == start:
-            raise DataError(f"label {labels[intent].surface!r} has no tokens")
+            if lab.surface not in ids:
+                ids[lab.surface] = tuple(vocab.id_of(w) for w in word_tokens(lab.surface))
+                if not ids[lab.surface]:
+                    raise DataError(f"label {lab.surface!r} has no tokens")
+    return ids
+
+
+def lay_out(
+    plan: SequencePlan, labels: Sequence[IntentLabel], word_ids: dict[str, tuple[int, ...]]
+) -> TokenizedSequence:
+    """One plan as token ids, from `plan_word_ids` of a set of plans that holds it."""
+    ids = list(word_ids[plan.utterance.text])
+    utterance_span = (0, len(ids))
+    intents = tuple(plan.group.slots[i] for i in plan.slot_order)  # display order
+    spans = []
+    for intent in intents:
+        ids.append(SEP_ID)
+        start = len(ids)
+        ids += (PLH_ID,) if intent == PLACEHOLDER else word_ids[labels[intent].surface]
         spans.append((start, len(ids)))
-        intents.append(intent)
-    return TokenizedSequence(tuple(ids), utterance_span, tuple(spans), tuple(intents), plan.gold_slot)
+    return TokenizedSequence(tuple(ids), utterance_span, tuple(spans), intents, plan.gold_slot)
+
+
+def tokenize(plan: SequencePlan, labels: Sequence[IntentLabel], vocab: Vocabulary) -> TokenizedSequence:
+    """Lay out one plan as token ids with utterance/slot spans recorded."""
+    return lay_out(plan, labels, plan_word_ids([(plan, labels)], vocab))
 
 
 @dataclass
@@ -185,25 +210,20 @@ class ModelParams:
             out.extend((self.attn_q, self.attn_k, self.attn_v))
         return out
 
-    def copy(self) -> "ModelParams":
+    def _map(self, fn) -> "ModelParams":
+        attn = (self.attn_q, self.attn_k, self.attn_v)
         return ModelParams(
-            self.embedding.copy(),
-            [w.copy() for w in self.proj_weights],
-            [b.copy() for b in self.proj_biases],
-            None if self.attn_q is None else self.attn_q.copy(),
-            None if self.attn_k is None else self.attn_k.copy(),
-            None if self.attn_v is None else self.attn_v.copy(),
+            fn(self.embedding),
+            [fn(w) for w in self.proj_weights],
+            [fn(b) for b in self.proj_biases],
+            *(None if a is None else fn(a) for a in attn),
         )
 
+    def copy(self) -> "ModelParams":
+        return self._map(np.copy)
+
     def zeros_like(self) -> "ModelParams":
-        return ModelParams(
-            np.zeros_like(self.embedding),
-            [np.zeros_like(w) for w in self.proj_weights],
-            [np.zeros_like(b) for b in self.proj_biases],
-            None if self.attn_q is None else np.zeros_like(self.attn_q),
-            None if self.attn_k is None else np.zeros_like(self.attn_k),
-            None if self.attn_v is None else np.zeros_like(self.attn_v),
-        )
+        return self._map(np.zeros_like)
 
 
 def init_params(
@@ -272,33 +292,83 @@ def _project(params: ModelParams, z: np.ndarray) -> tuple[list[np.ndarray], np.n
     return acts, h
 
 
-def _forward(params: ModelParams, seq: TokenizedSequence):
-    """Forward pass returning embeddings plus the cache needed for backprop."""
-    ids = np.asarray(seq.token_ids, dtype=np.intp)
-    x_raw = params.embedding[ids]
-    attn_cache = None
-    if params.has_attention:
-        scale = 1.0 / np.sqrt(params.d_emb)
-        q = x_raw @ params.attn_q
-        k = x_raw @ params.attn_k
-        v = x_raw @ params.attn_v
-        att = _softmax_rows((q @ k.T) * scale)
-        x = x_raw + att @ v
-        attn_cache = (x_raw, q, k, v, att, scale)
-    else:
-        x = x_raw
+def _pool(x: np.ndarray, spans: Sequence[Sequence[int]]) -> np.ndarray:
+    """The mean of the rows of `x` at each span's indices, with `ndarray.mean`'s bits.
 
-    spans = [seq.utterance_span, *seq.slot_spans]
-    z = np.stack([x[s:e].mean(axis=0) for s, e in spans])
-    acts, h = _project(params, z)
-    emb = SequenceEmbeddings(z[0], z[1:], h[0], h[1:], seq.slot_intents, seq.gold_slot)
-    return emb, (ids, spans, acts, attn_cache)
+    Spans of one length are gathered as one stack and summed along it, then
+    divided by the count: a slice mean's bits at any length and width, which
+    `np.add.reduceat` does not give. Every encoder path pools through here.
+    """
+    out = np.empty((len(spans), x.shape[1]))
+    by_length: dict[int, list[int]] = {}
+    for row, span in enumerate(spans):
+        by_length.setdefault(len(span), []).append(row)
+    for n, rows in by_length.items():
+        out[rows] = x[[spans[r] for r in rows]].sum(axis=1) / n
+    return out
+
+
+def _spans(seq: TokenizedSequence) -> list[tuple[int, int]]:
+    return [seq.utterance_span, *seq.slot_spans]
+
+
+def _row_sums(index: Sequence[int], values: np.ndarray, n_rows: int) -> np.ndarray:
+    """The rows of `values` summed by `index` into `n_rows` rows, in one
+    `np.bincount`: the bits of ``np.add.at`` on zeros."""
+    d = values.shape[1]
+    flat = (np.asarray(index)[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=n_rows * d).reshape(n_rows, d)
+
+
+def _attend(params: ModelParams, x_raw: np.ndarray):
+    """Token rows after the optional attention layer, and its backprop cache."""
+    if not params.has_attention:
+        return x_raw, None
+    scale = 1.0 / np.sqrt(params.d_emb)
+    q = x_raw @ params.attn_q
+    k = x_raw @ params.attn_k
+    v = x_raw @ params.attn_v
+    att = _softmax_rows((q @ k.T) * scale)
+    return x_raw + att @ v, (x_raw, q, k, v, att, scale)
+
+
+def _attend_backward(params: ModelParams, cache, dx: np.ndarray, grads: ModelParams) -> np.ndarray:
+    """Accumulate attention gradients; returns dL/dx_raw from dL/dx."""
+    x_raw, q, k, v, att, scale = cache
+    da = dx @ v.T
+    dv = att.T @ dx
+    ds = att * (da - (da * att).sum(axis=1, keepdims=True))
+    dq = ds @ k * scale
+    dk = ds.T @ q * scale
+    grads.attn_q += x_raw.T @ dq
+    grads.attn_k += x_raw.T @ dk
+    grads.attn_v += x_raw.T @ dv
+    return dx + (dq @ params.attn_q.T + dk @ params.attn_k.T + dv @ params.attn_v.T)
+
+
+def _project_backward(params: ModelParams, acts: list[np.ndarray], g: np.ndarray, grads: ModelParams):
+    """Accumulate projector gradients; returns dL/dz from dL/dh over the same rows."""
+    for i in range(len(params.proj_weights) - 1, -1, -1):
+        x_in = acts[i]
+        grads.proj_weights[i] += x_in.T @ g
+        grads.proj_biases[i] += g.sum(axis=0)
+        g = g @ params.proj_weights[i].T
+        if i > 0:
+            g = g * (1.0 - x_in * x_in)  # tanh'
+    return g
+
+
+def _pooled(params: ModelParams, seq: TokenizedSequence):
+    """A sequence's pooled span rows, utterance first, and its attention cache."""
+    x, cache = _attend(params, params.embedding[list(seq.token_ids)])
+    return _pool(x, [range(*span) for span in _spans(seq)]), cache
 
 
 def encode(params: ModelParams, seq: TokenizedSequence) -> SequenceEmbeddings:
     """Span mean pooling over token embeddings, then the shared projector."""
-    emb, _ = _forward(params, seq)
-    return emb
+    z, _ = _pooled(params, seq)
+    h = _project(params, z)[1]
+    return SequenceEmbeddings(z[0], z[1:], h[0], h[1:], seq.slot_intents, seq.gold_slot)
 
 
 def encode_spans(params: ModelParams, spans: Sequence[Sequence[int]]) -> np.ndarray:
@@ -306,66 +376,65 @@ def encode_spans(params: ModelParams, spans: Sequence[Sequence[int]]) -> np.ndar
     model without attention: each span is mean-pooled as ``encode`` pools a
     sequence's spans, and the row-exact projector gives it the bits
     ``encode`` gives it in any sequence."""
-    z = np.stack([params.embedding[span].mean(axis=0) for span in spans])
-    return _project(params, z)[1]
-
-
-def _backward(params, cache, dh_u, dh_slots, grads: ModelParams):
-    """Accumulate parameter gradients for one sequence given dL/dh rows."""
-    ids, spans, acts, attn_cache = cache
-    g = np.vstack([dh_u[None, :], dh_slots])
-
-    last = len(params.proj_weights) - 1
-    for i in range(last, -1, -1):
-        x_in = acts[i]
-        grads.proj_weights[i] += x_in.T @ g
-        grads.proj_biases[i] += g.sum(axis=0)
-        g = g @ params.proj_weights[i].T
-        if i > 0:
-            g = g * (1.0 - x_in * x_in)  # tanh'
-
-    dx = np.zeros((len(ids), params.d_emb))
-    for row, (s, e) in enumerate(spans):
-        dx[s:e] += g[row] / (e - s)
-
-    if attn_cache is not None:
-        x_raw, q, k, v, att, scale = attn_cache
-        dc = dx
-        dx_raw = dx.copy()  # residual path
-        da = dc @ v.T
-        dv = att.T @ dc
-        ds = att * (da - (da * att).sum(axis=1, keepdims=True))
-        dq = ds @ k * scale
-        dk = ds.T @ q * scale
-        grads.attn_q += x_raw.T @ dq
-        grads.attn_k += x_raw.T @ dk
-        grads.attn_v += x_raw.T @ dv
-        dx_raw += dq @ params.attn_q.T + dk @ params.attn_k.T + dv @ params.attn_v.T
-        dx = dx_raw
-
-    np.add.at(grads.embedding, ids, dx)
+    return _project(params, _pool(params.embedding, spans))[1]
 
 
 def loss_and_param_grads(
     params: ModelParams, batch: Sequence[TokenizedSequence], cfg: LossConfig
 ) -> tuple[float, ModelParams]:
-    """Batch-mean contrastive loss and its exact gradient w.r.t. all parameters."""
-    embs = []
-    caches = []
-    for seq in batch:
-        emb, cache = _forward(params, seq)
-        embs.append(emb)
-        caches.append(cache)
-    loss, h_grads = batch_loss(embs, cfg)
+    """Batch-mean contrastive loss and its exact gradient w.r.t. all parameters.
+
+    The batch's pooled spans are the rows of one projector pass, one
+    `batch_loss` and one backward pass, and the embedding gradient is
+    scattered once. Without attention a span's row depends on its token ids
+    alone, so each distinct utterance or label is one row however often it
+    recurs (keyed by token ids: an intent id names different labels in
+    different inventories). With attention each sequence is attended on its
+    own and keeps its own rows.
+    """
+    if not batch:
+        raise DataError("empty batch")
+    if params.has_attention:
+        pooled = [_pooled(params, seq) for seq in batch]
+        z = np.concatenate([rows for rows, _ in pooled])
+        firsts = np.cumsum([0] + [1 + len(seq.slot_spans) for seq in batch]).tolist()
+        span_rows = [range(first, end) for first, end in zip(firsts, firsts[1:])]
+        ids = [t for seq in batch for t in seq.token_ids]
+    else:
+        row_of: dict[tuple[int, ...], int] = {}
+        span_rows = [
+            [row_of.setdefault(seq.token_ids[s:e], len(row_of)) for s, e in _spans(seq)]
+            for seq in batch
+        ]
+        z = _pool(params.embedding, list(row_of))
+        ids = [t for span in row_of for t in span]
+    # Each sequence's utterance row, then its slot rows; a sequence with
+    # fewer slots is padded with row 0, which its candidate mask leaves out.
+    table = np.zeros((len(batch), max(map(len, span_rows))), dtype=np.intp)
+    for row, rows in zip(table, span_rows):
+        row[: len(rows)] = rows
+
+    acts, h = _project(params, z)
+    candidates, gold = loss_targets(batch, cfg)
+    loss, dh_u, dh_slots = batch_loss(h[table[:, 0]], h[table[:, 1:]], candidates, gold, cfg)
+    dh = np.concatenate([dh_u[:, None], dh_slots], axis=1).reshape(-1, h.shape[1])
     grads = params.zeros_like()
-    for cache, (dh_u, dh_slots) in zip(caches, h_grads):
-        _backward(params, cache, dh_u, dh_slots, grads)
+    dz = _project_backward(params, acts, _row_sums(table.ravel(), dh, len(h)), grads)
+
+    if params.has_attention:
+        dxs = []
+        for seq, (_, cache), first in zip(batch, pooled, firsts):
+            dx = np.zeros((len(seq.token_ids), params.d_emb))
+            for row, (s, e) in enumerate(_spans(seq), start=first):
+                dx[s:e] = dz[row] / (e - s)
+            dxs.append(_attend_backward(params, cache, dx, grads))
+        dx = np.concatenate(dxs)
+    else:
+        lengths = [len(span) for span in row_of]
+        dx = np.repeat(dz / np.array(lengths)[:, None], lengths, axis=0)
+    rows, inverse = np.unique(ids, return_inverse=True)
+    grads.embedding[rows] = _row_sums(inverse, dx, len(rows))
     return loss, grads
-
-
-def batch_loss_value(params: ModelParams, batch: Sequence[TokenizedSequence], cfg: LossConfig) -> float:
-    loss, _ = batch_loss([encode(params, seq) for seq in batch], cfg)
-    return loss
 
 
 def grad_check(
@@ -410,9 +479,9 @@ def grad_check(
         idx = np.unravel_index(local, probe_arrays[ai].shape)
         orig = probe_arrays[ai][idx]
         probe_arrays[ai][idx] = orig + eps
-        loss_plus = batch_loss_value(probe, batch, cfg)
+        loss_plus = loss_and_param_grads(probe, batch, cfg)[0]
         probe_arrays[ai][idx] = orig - eps
-        loss_minus = batch_loss_value(probe, batch, cfg)
+        loss_minus = loss_and_param_grads(probe, batch, cfg)[0]
         probe_arrays[ai][idx] = orig
         numeric = (loss_plus - loss_minus) / (2.0 * eps)
         analytic = grad_arrays[ai][idx]

@@ -9,6 +9,7 @@ only pushed away from the candidates it does not match.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,8 +25,8 @@ class LossConfig:
     include_placeholders: bool = False
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise DataError(f"temperature must be positive, got {self.tau}")
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise DataError(f"temperature must be positive and finite, got {self.tau}")
 
 
 def cosine_scores(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -56,84 +57,65 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     return float(scores) if scores.ndim == 0 else scores
 
 
-def _candidate_positions(slot_intents: Sequence[int], cfg: LossConfig) -> list[int]:
-    if cfg.include_placeholders:
-        return list(range(len(slot_intents)))
-    return [p for p, intent in enumerate(slot_intents) if intent != PLACEHOLDER]
+def loss_targets(seqs: Sequence, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, k) candidate mask and the gold-slot vector that `batch_loss`
+    takes, for sequences with `slot_intents` and `gold_slot` (tokenized or
+    encoded). k is the longest sequence's slot count; a shorter sequence's
+    missing slots are not candidates, and a sequence without gold has -1."""
+    k = max((len(seq.slot_intents) for seq in seqs), default=0)
+    candidates = np.zeros((len(seqs), k), dtype=bool)
+    for row, seq in zip(candidates, seqs):
+        intents = np.asarray(seq.slot_intents)
+        row[: len(intents)] = True if cfg.include_placeholders else intents != PLACEHOLDER
+    gold = np.array([-1 if seq.gold_slot is None else seq.gold_slot for seq in seqs], dtype=np.intp)
+    return candidates, gold
 
 
-def _loss_and_h_grads(emb, cfg: LossConfig):
-    """Loss plus dL/dh_u and dL/dh_slots for one sequence.
+def batch_loss(
+    h_u: np.ndarray, h_slots: np.ndarray, candidates: np.ndarray, gold: np.ndarray, cfg: LossConfig
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean sequence loss over a batch and its gradients w.r.t. every h vector.
 
-    Returns zero loss and zero gradients when the candidate set is empty
-    (an all-placeholder sequence contributes no terms).
+    `h_u` is (B, d), `h_slots` (B, k, d); `candidates` and `gold` are as
+    `loss_targets` gives them. Returns (loss, dL/dh_u, dL/dh_slots); the
+    gradients include the 1/B factor and are zero off the candidates. A
+    sequence without candidates contributes zero loss and zero gradients.
     """
-    cand = _candidate_positions(emb.slot_intents, cfg)
-    k, d_out = emb.h_slots.shape
-    dh_u = np.zeros(d_out)
-    dh_slots = np.zeros((k, d_out))
-    if not cand:
-        return 0.0, dh_u, dh_slots
-
-    hu = emb.h_u
-    nu = float(np.linalg.norm(hu))
-    if nu == 0.0:
+    if not len(h_u):
+        raise DataError("empty batch")
+    live = candidates.any(axis=1)
+    gold_mask = (np.arange(candidates.shape[1]) == gold[:, None]) & live[:, None]
+    nu = np.sqrt((h_u * h_u).sum(axis=-1))
+    ns = np.sqrt((h_slots * h_slots).sum(axis=-1))
+    if (live & (nu == 0.0)).any():
         raise NumericError("zero-norm utterance representation")
-    hs = emb.h_slots[cand]
-    ns = np.linalg.norm(hs, axis=1)
-    if np.any(ns == 0.0):
+    if (candidates & (ns == 0.0)).any():
         raise NumericError("zero-norm slot representation")
-    sims = np.clip(hs @ hu / (ns * nu), -1.0, 1.0)
+    if (live & (gold >= 0) & ~(gold_mask & candidates).any(axis=1)).any():
+        raise DataError("gold slot missing from the candidate set")
 
-    logits = sims / cfg.tau
-    mx = logits.max()
-    lse = mx + np.log(np.exp(logits - mx).sum())
-    probs = np.exp(logits - lse)
-
-    gold_pos = None
-    if emb.gold_slot is not None:
-        if emb.gold_slot not in cand:
-            raise DataError("gold slot missing from the candidate set")
-        gold_pos = cand.index(emb.gold_slot)
-        loss = float(lse - logits[gold_pos])
-    else:
-        loss = float(lse)
-
-    coeff = probs / cfg.tau
-    if gold_pos is not None:
-        coeff[gold_pos] -= 1.0 / cfg.tau
+    nu = np.where(live, nu, 1.0)[:, None]
+    ns = np.where(candidates, ns, 1.0)
+    sims = np.clip((h_slots * h_u[:, None, :]).sum(axis=-1) / (ns * nu), -1.0, 1.0)
+    logits = np.where(candidates, sims / cfg.tau, -np.inf)
+    mx = np.where(live, logits.max(axis=1, initial=-np.inf), 0.0)[:, None]
+    lse = mx + np.log(np.where(live[:, None], np.exp(logits - mx).sum(axis=1, keepdims=True), 1.0))
+    losses = np.where(live, lse[:, 0], 0.0) - np.where(gold_mask, logits, 0.0).sum(axis=1)
+    coeff = (np.exp(logits - lse) / cfg.tau - gold_mask / cfg.tau) / len(h_u)
 
     # d sim_j / d h_u = h_j/(|h_u||h_j|) - sim_j * h_u/|h_u|^2, and symmetrically.
-    dh_u = (coeff / ns) @ hs / nu - (coeff @ sims) * hu / (nu * nu)
-    d_slots_cand = (
-        coeff[:, None] * (hu[None, :] / (ns[:, None] * nu) - sims[:, None] * hs / (ns * ns)[:, None])
+    dh_u = ((coeff / ns)[:, :, None] * h_slots).sum(axis=1) / nu - (
+        (coeff * sims).sum(axis=1, keepdims=True) * h_u / (nu * nu)
     )
-    for row, pos in enumerate(cand):
-        dh_slots[pos] = d_slots_cand[row]
-    return loss, dh_u, dh_slots
+    dh_slots = coeff[:, :, None] * (
+        h_u[:, None, :] / (ns * nu)[:, :, None] - sims[:, :, None] * h_slots / (ns * ns)[:, :, None]
+    )
+    return float(losses.sum()) / len(h_u), dh_u, dh_slots
 
 
 def sequence_loss(emb, cfg: LossConfig) -> float:
-    """Contrastive loss for one sequence; errors on an empty candidate set."""
-    if not _candidate_positions(emb.slot_intents, cfg):
+    """`batch_loss` of one encoded sequence; errors on an empty candidate set."""
+    candidates, gold = loss_targets([emb], cfg)
+    if not candidates.any():
         raise DataError("empty candidate set: all slots are placeholders")
-    loss, _, _ = _loss_and_h_grads(emb, cfg)
-    return loss
-
-
-def batch_loss(batch: Sequence, cfg: LossConfig) -> tuple[float, list[tuple[np.ndarray, np.ndarray]]]:
-    """Mean sequence loss over a batch and its gradients w.r.t. every h vector.
-
-    Returns (loss, [(dh_u, dh_slots), ...]) aligned with the batch; gradients
-    already include the 1/batch-size factor.
-    """
-    if not batch:
-        raise DataError("empty batch")
-    scale = 1.0 / len(batch)
-    total = 0.0
-    grads = []
-    for emb in batch:
-        loss, dh_u, dh_slots = _loss_and_h_grads(emb, cfg)
-        total += loss
-        grads.append((dh_u * scale, dh_slots * scale))
-    return total * scale, grads
+    return batch_loss(emb.h_u[None], emb.h_slots[None], candidates, gold, cfg)[0]

@@ -6,8 +6,9 @@ best epoch. Fine-tuning and out-of-domain pretraining both run `train`;
 paraphrase pretraining feeds its own items to `fit_items`.
 
 Every epoch runs each plan as built, `shuffles_per_sequence` (default k)
-times, in seeded order; it steps SGD or Adam on exact batch gradients and
-tracks the best epoch by dev accuracy or training loss. Checkpoints
+times, in seeded order; each batch is laid out from word ids computed once
+a run. It steps SGD or Adam on exact batch gradients and tracks the best
+epoch by dev accuracy or training loss. Checkpoints
 serialize parameters and vocabulary bit-exactly.
 """
 
@@ -29,9 +30,11 @@ from .encoder import (
     Vocabulary,
     build_vocab,
     init_params,
+    lay_out,
     loss_and_param_grads,
-    tokenize,
+    plan_word_ids,
 )
+from .encoder import tokenize  # noqa: F401  perfbench/layers.py traces it here
 from .errors import CheckpointError, DataError, NumericError
 from .objective import LossConfig
 from .sequencer import build_plans, choose_k, partition_intents
@@ -187,6 +190,7 @@ def fit_items(
     best_params = params.copy()
 
     plans = [(plan, item.labels) for item in items for plan in item.plans]
+    word_ids = plan_word_ids(plans, vocab)  # every text tokenized once a run
     # Each plan runs as built, `shuffles_per_sequence` (default k) times an epoch. With no
     # positional signal in the encoder, a slot-shuffled copy would only repeat its gradients.
     pool = [p for p in plans for _ in range(cfg.shuffles_per_sequence or p[0].group.k)]
@@ -200,7 +204,7 @@ def fit_items(
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
             picks = order[start : start + cfg.batch_size]
-            seqs = [tokenize(*pool[i], vocab) for i in picks]
+            seqs = [lay_out(*pool[i], word_ids) for i in picks]
             loss, grads = loss_and_param_grads(params, seqs, loss_cfg)
             if not np.isfinite(loss):
                 raise NumericError(

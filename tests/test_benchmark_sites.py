@@ -1,6 +1,7 @@
 """Every library function the traced benchmark wraps still exists where it
 wraps it, so a refactor that drops or moves one of those names fails here
-and not only under `python -m pytest perfbench`."""
+and not only under `python -m pytest perfbench`; and a traced training run
+still reaches the sites that count its sequences and spans."""
 
 import importlib
 import importlib.util
@@ -8,16 +9,39 @@ from pathlib import Path
 
 import pytest
 
-LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+from fewintent import trainer
+
+from conftest import make_dataset
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _sites():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
-    layers = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(layers)
-    return [(module, attr) for module, attr, _, _ in layers.SITES]
+    return [(module, attr) for module, attr, _, _ in _load("layers").SITES]
 
 
 @pytest.mark.parametrize("module, attr", _sites(), ids=lambda name: name)
 def test_site_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None))
+
+
+@pytest.mark.parametrize("attention", [False, True])
+def test_traced_training_counts_sequences_and_slot_spans(attention):
+    layers, tracing = _load("layers"), _load("tracing")
+    data = make_dataset(n_intents=5, per_intent=2)  # 10 utterances, 2 groups of 3
+    cfg = trainer.TrainConfig(k=3, epochs=1, d_emb=8, d_hidden=8, d_out=8,
+                              shuffles_per_sequence=1, attention=attention)
+    tracer = tracing.Tracer()
+    tracer.begin_run("unit")
+    with tracer.installed(layers.SITES):
+        trainer.train(data, None, cfg)
+    units = tracer.totals("unit")
+    assert units.count("encoder.sequences") == 10 * 2
+    assert units.count("encoder.slot_spans") == 10 * 2 * 3

@@ -397,6 +397,25 @@ class TestExitCodes:
         metrics = synth_dir / "t.jsonl"
         assert not metrics.exists() or metrics.read_text() == ""
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["synth", "--intents", "4", "--out-dir", "more", "--seed", "-1"],
+            ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl",
+             "--shots", "2", "--seeds=-1", "--k", "4", "--epochs", "1"],
+            ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl",
+             "--shots", "2", "--seeds", "0,-2", "--k", "4", "--epochs", "1"],
+        ],
+        ids=["synth-seed", "eval-seeds", "eval-second-seed"],
+    )
+    def test_negative_seed_is_2_before_output(self, synth_dir, args):
+        out = run_cli([*args, "--out", "m.jsonl"], cwd=synth_dir)
+        assert out.returncode == 2
+        assert "data error" in out.stderr and "non-negative" in out.stderr
+        assert "Traceback" not in out.stderr
+        metrics = synth_dir / "m.jsonl"
+        assert not metrics.exists() or metrics.read_text() == ""
+
     def test_help_is_0(self, tmp_path):
         out = run_cli(["--help"], cwd=tmp_path)
         assert out.returncode == 0

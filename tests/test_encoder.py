@@ -10,12 +10,17 @@ from fewintent.encoder import (
     SEP_ID,
     UNK_ID,
     ModelParams,
+    TokenizedSequence,
+    _pool,
     _project,
+    _row_sums,
     build_vocab,
     encode,
     grad_check,
     init_params,
+    lay_out,
     loss_and_param_grads,
+    plan_word_ids,
     tokenize,
     word_tokens,
 )
@@ -31,6 +36,8 @@ from fewintent.sequencer import (
 )
 
 from conftest import make_dataset, run_python
+
+import per_sequence
 
 
 def freeze_card_setup():
@@ -102,6 +109,22 @@ class TestTokenize:
             base_contents = sorted(base.token_ids[s:e] for s, e in base.slot_spans)
             aug_contents = sorted(seq.token_ids[s:e] for s, e in seq.slot_spans)
             assert base_contents == aug_contents
+
+    def test_lay_out_from_run_wide_ids_equals_tokenize(self):
+        # Two inventories that share surfaces under different ids, as
+        # paraphrase anchors have.
+        data = make_dataset(n_intents=5, per_intent=2)
+        other = tuple(IntentLabel(i, f"o{i}", data.labels[4 - i].surface) for i in range(5))
+        pairs = [
+            (plan, labels)
+            for labels, k in ((data.labels, 2), (other, 3))
+            for ex in data.examples
+            for plan in build_plans(ex, partition_intents(labels, k))
+        ]
+        vocab = build_vocab([data])
+        word_ids = plan_word_ids(pairs, vocab)
+        for plan, labels in pairs:
+            assert lay_out(plan, labels, word_ids) == tokenize(plan, labels, vocab)
 
     def test_empty_utterance_raises(self):
         data, vocab, plan = freeze_card_setup()
@@ -254,6 +277,150 @@ class TestGradCheck:
         params = init_params(len(vocab), 12, 10, 8, depth=3, seed=9)
         err = grad_check(params, seqs[:4], tau=0.1, eps=1e-4, n_coords=200, seed=1)
         assert err < 1e-4
+
+
+class TestPooling:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=st.sampled_from([1, 2, 3, 8, 64]),
+        lengths=st.lists(st.integers(1, 40) | st.integers(100, 3000), min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_of_mean(self, d, lengths, seed):
+        # Width 1 and spans of 8 or more rows are where numpy sums pairwise.
+        x = np.random.default_rng(seed).normal(size=(sum(lengths), d))
+        ends = np.cumsum(lengths)
+        spans = [range(e - n, e) for n, e in zip(lengths, ends.tolist())]
+        want = np.stack([x[span.start : span.stop].mean(axis=0) for span in spans])
+        assert np.array_equal(_pool(x, spans).view(np.int64), want.view(np.int64))
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(1, 9), n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+    def test_row_sums_have_add_at_bits(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        index = rng.integers(0, 12, size=n)
+        values = rng.normal(size=(n, d))
+        want = np.zeros((12, d))
+        np.add.at(want, index, values)
+        got = _row_sums(index.tolist(), values, 12)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+WORDS = tuple(range(4, 14))  # word ids of a 14-token vocabulary
+
+
+def laid_out(utterance, slots, gold_slot):
+    """A TokenizedSequence in `tokenize`'s layout; `slots` holds (intent,
+    surface ids) pairs, with PLACEHOLDER slots holding the PLH token."""
+    ids = list(utterance)
+    spans = []
+    for intent, surface in slots:
+        ids.append(SEP_ID)
+        start = len(ids)
+        ids.extend((PLH_ID,) if intent == PLACEHOLDER else surface)
+        spans.append((start, len(ids)))
+    intents = tuple(intent for intent, _ in slots)
+    return TokenizedSequence(tuple(ids), (0, len(utterance)), tuple(spans), intents, gold_slot)
+
+
+@st.composite
+def batches(draw):
+    """Batches in which utterances and label surfaces recur: each sequence
+    has its own inventory (an intent id names different surfaces in
+    different sequences, and different ids share a surface), duplicate
+    sequences, placeholder slots, all-placeholder sequences and ragged slot
+    counts."""
+    span = st.lists(st.sampled_from(WORDS), min_size=1, max_size=4).map(tuple)
+    surfaces = draw(st.lists(span, min_size=1, max_size=5))
+    utterances = draw(st.lists(span, min_size=1, max_size=4))
+    k = draw(st.integers(1, 5))
+    seqs = []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.sampled_from([k, k, max(1, k - 1)]))
+        slots = [
+            (PLACEHOLDER, ()) if draw(st.integers(0, 3)) == 0
+            else (draw(st.integers(0, 5)), draw(st.sampled_from(surfaces)))
+            for _ in range(width)
+        ]
+        real = [p for p, (intent, _) in enumerate(slots) if intent != PLACEHOLDER]
+        gold = draw(st.sampled_from(real)) if real and draw(st.booleans()) else None
+        seqs.append(laid_out(draw(st.sampled_from(utterances)), slots, gold))
+    repeats = draw(st.lists(st.sampled_from(range(len(seqs))), max_size=3))
+    return seqs + [seqs[i] for i in repeats]
+
+
+def wide_params(depth, attention, seed):
+    """Parameters drawn wide enough that attention does not average out."""
+    rng = np.random.default_rng(seed)
+    d = 6
+
+    def u(*shape):
+        return rng.uniform(-0.6, 0.6, size=shape)
+
+    attn = (u(d, d), u(d, d), u(d, d)) if attention else (None, None, None)
+    dims = [d] * (depth + 1)
+    return ModelParams(
+        u(len(WORDS) + 4, d), [u(a, b) for a, b in zip(dims, dims[1:])], [u(b) for b in dims[1:]], *attn
+    )
+
+
+def assert_same_loss_and_grads(params, batch, cfg):
+    want_loss, want = per_sequence.loss_and_param_grads(params, batch, cfg)
+    loss, got = loss_and_param_grads(params, batch, cfg)
+    assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+    for g, w in zip(got.arrays(), want.arrays()):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+class TestAgainstPerSequenceReference:
+    """The batch kernel against the per-sequence forward, loss and backward
+    it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        batch=batches(),
+        include=st.booleans(),
+        depth=st.sampled_from([1, 2]),
+        attention=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    def test_loss_and_every_gradient_agree(self, batch, include, depth, attention, seed):
+        params = wide_params(depth, attention, seed)
+        assert_same_loss_and_grads(params, batch, LossConfig(0.1, include))
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_dataset_batch_with_duplicate_plans(self, attention):
+        vocab, seqs = small_batch(n_intents=7, k=3)
+        params = init_params(len(vocab), 8, 8, 8, seed=3, attention=attention)
+        for include in (False, True):
+            assert_same_loss_and_grads(params, seqs + seqs[:4], LossConfig(0.1, include))
+
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize(
+        "case, error",
+        [("zero-norm", NumericError), ("gold-not-a-candidate", DataError), ("empty", DataError)],
+    )
+    def test_same_errors(self, attention, case, error):
+        vocab, seqs = small_batch()
+        params = init_params(len(vocab), 8, 8, 8, seed=0, attention=attention)
+        if case == "zero-norm":
+            params.proj_weights[-1][:] = 0.0
+            params.proj_biases[-1][:] = 0.0
+        elif case == "gold-not-a-candidate":
+            plh = laid_out((4, 5), [(0, (6,)), (PLACEHOLDER, ())], gold_slot=1)
+            seqs = [*seqs[:2], plh]
+        else:
+            seqs = []
+        with pytest.raises(error):
+            per_sequence.loss_and_param_grads(params, seqs, LossConfig(0.1))
+        with pytest.raises(error):
+            loss_and_param_grads(params, seqs, LossConfig(0.1))
+
+    def test_grad_check_on_batch_with_repeats_and_placeholders(self):
+        vocab, seqs = small_batch(n_intents=5, k=3)
+        batch = seqs[:5] + seqs[:2]
+        params = init_params(len(vocab), 12, 12, 12, seed=4)
+        assert grad_check(params, batch, n_coords=300, seed=2, include_placeholders=True) < 1e-4
 
 
 def test_word_tokens_split_punctuation_and_case():

@@ -2,12 +2,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from fewintent.encoder import SequenceEmbeddings
 from fewintent.errors import DataError, NumericError
-from fewintent.objective import LossConfig, batch_loss, cosine_scores, cosine_sim, sequence_loss
+from fewintent.objective import (
+    LossConfig,
+    batch_loss,
+    cosine_scores,
+    cosine_sim,
+    loss_targets,
+    sequence_loss,
+)
 from fewintent.sequencer import PLACEHOLDER
+
+import per_sequence
 
 
 def embs(h_u, h_slots, gold_slot=None, slot_intents=None):
@@ -24,6 +33,14 @@ def embs(h_u, h_slots, gold_slot=None, slot_intents=None):
         slot_intents=tuple(slot_intents),
         gold_slot=gold_slot,
     )
+
+
+def batch_of(batch, cfg):
+    """`batch_loss` of encoded sequences of one slot count."""
+    candidates, gold = loss_targets(batch, cfg)
+    h_u = np.stack([e.h_u for e in batch])
+    h_slots = np.stack([e.h_slots for e in batch])
+    return batch_loss(h_u, h_slots, candidates, gold, cfg)
 
 
 def basis(i, d):
@@ -147,20 +164,21 @@ class TestLossRules:
         # All-placeholder sequences contribute zero terms instead of erroring,
         # matching the zero-learning-signal contract of the gradient checker.
         empty = embs(basis(0, 4), [basis(1, 4)], None, slot_intents=(PLACEHOLDER,))
-        loss, grads = batch_loss([empty], LossConfig(tau=0.1))
+        loss, dh_u, dh_slots = batch_of([empty], LossConfig(tau=0.1))
         assert loss == 0.0
-        assert not grads[0][0].any() and not grads[0][1].any()
+        assert not dh_u.any() and not dh_slots.any()
 
     def test_batch_mean_of_identical(self):
         h = basis(0, 4)
         e = embs(h, [h, basis(1, 4)], gold_slot=0)
         single = sequence_loss(e, LossConfig(tau=1.0))
-        double, _ = batch_loss([e, e], LossConfig(tau=1.0))
+        double = batch_of([e, e], LossConfig(tau=1.0))[0]
         assert double == pytest.approx(single, rel=1e-15)
 
     def test_empty_batch_raises(self):
         with pytest.raises(DataError):
-            batch_loss([], LossConfig())
+            batch_loss(np.zeros((0, 4)), np.zeros((0, 2, 4)), np.zeros((0, 2), dtype=bool),
+                       np.zeros(0, dtype=np.intp), LossConfig())
 
     def test_monotone_in_gold_similarity(self):
         other = basis(1, 4)
@@ -205,9 +223,9 @@ class TestHSpaceGradients:
         cfg = LossConfig(tau=0.1)
 
         def loss_of(hu, hs):
-            return batch_loss([embs(hu, hs, gold_slot=1)], cfg)[0]
+            return batch_of([embs(hu, hs, gold_slot=1)], cfg)[0]
 
-        _, ((dh_u, dh_slots),) = batch_loss([embs(h_u, h_slots, gold_slot=1)], cfg)
+        _, (dh_u,), (dh_slots,) = batch_of([embs(h_u, h_slots, gold_slot=1)], cfg)
         eps = 1e-6
         for i in range(5):
             delta = np.zeros(5)
@@ -220,3 +238,74 @@ class TestHSpaceGradients:
                 bump[j, i] = eps
                 fd = (loss_of(h_u, h_slots + bump) - loss_of(h_u, h_slots - bump)) / (2 * eps)
                 assert dh_slots[j, i] == pytest.approx(fd, abs=1e-6)
+
+
+class TestLossConfig:
+    @pytest.mark.parametrize("tau", [0.0, -0.1, float("nan"), float("inf"), float("-inf")])
+    def test_rejects_temperature_not_positive_and_finite(self, tau):
+        with pytest.raises(DataError, match="temperature"):
+            LossConfig(tau=tau)
+
+
+@st.composite
+def encoded_batches(draw):
+    """Encoded sequences of ragged slot counts: placeholder slots, sequences
+    with and without gold, and sequences whose every slot is a placeholder."""
+    d = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    batch = []
+    for _ in range(draw(st.integers(1, 6))):
+        k = draw(st.integers(1, 5))
+        intents = draw(st.lists(st.sampled_from([PLACEHOLDER, 0, 1, 2]), min_size=k, max_size=k))
+        real = [p for p, intent in enumerate(intents) if intent != PLACEHOLDER]
+        gold = draw(st.sampled_from(real)) if real and draw(st.booleans()) else None
+        batch.append(embs(rng.normal(size=d), rng.normal(size=(k, d)), gold, intents))
+    return batch
+
+
+def padded(batch):
+    """(B, d) and (B, k, d) arrays of ragged encoded sequences, padded with zero rows."""
+    k = max(len(e.h_slots) for e in batch)
+    h_slots = np.zeros((len(batch), k, len(batch[0].h_u)))
+    for row, e in zip(h_slots, batch):
+        row[: len(e.h_slots)] = e.h_slots
+    return np.stack([e.h_u for e in batch]), h_slots
+
+
+class TestAgainstPerSequenceLoop:
+    """The array loss against the per-sequence loop it replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=encoded_batches(), include=st.booleans(), tau=st.sampled_from([0.05, 0.1, 1.0]))
+    def test_loss_and_h_gradients_agree(self, batch, include, tau):
+        cfg = LossConfig(tau=tau, include_placeholders=include)
+        want_loss, want_grads = per_sequence.batch_loss(batch, cfg)
+        h_u, h_slots = padded(batch)
+        loss, dh_u, dh_slots = batch_loss(h_u, h_slots, *loss_targets(batch, cfg), cfg)
+        assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
+        for i, (want_u, want_slots) in enumerate(want_grads):
+            k = len(want_slots)
+            np.testing.assert_allclose(dh_u[i], want_u, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(dh_slots[i, :k], want_slots, rtol=1e-12, atol=1e-12)
+            assert not dh_slots[i, k:].any()  # padding
+
+    @pytest.mark.parametrize(
+        "mutate, error",
+        [
+            (lambda batch: batch[1].h_u.fill(0.0), NumericError),
+            (lambda batch: batch[1].h_slots[0].fill(0.0), NumericError),
+            (lambda batch: setattr(batch[1], "gold_slot", 2), DataError),  # a placeholder
+            (lambda batch: setattr(batch[1], "gold_slot", 3), DataError),  # past the last slot
+        ],
+        ids=["zero-norm-utterance", "zero-norm-slot", "gold-not-a-candidate", "gold-out-of-range"],
+    )
+    def test_same_errors(self, mutate, error):
+        rng = np.random.default_rng(0)
+        batch = [embs(rng.normal(size=4), rng.normal(size=(3, 4)), 0, (5, 6, PLACEHOLDER))
+                 for _ in range(3)]
+        mutate(batch)
+        cfg = LossConfig(tau=0.1)
+        with pytest.raises(error):
+            per_sequence.batch_loss(batch, cfg)
+        with pytest.raises(error):
+            batch_of(batch, cfg)

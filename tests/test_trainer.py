@@ -7,20 +7,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewintent import trainer
-from fewintent.corpus import split_dev
+from fewintent.corpus import IntentLabel, LabeledUtterance, split_dev
 from fewintent.encoder import (
     UNK_ID,
     Vocabulary,
     build_vocab,
     init_params,
+    lay_out,
     loss_and_param_grads,
     tokenize,
 )
 from fewintent.errors import CheckpointError, DataError, NumericError
 from fewintent.evaluator import generate_synthetic
-from fewintent.sequencer import augment_shuffles
+from fewintent.sequencer import augment_shuffles, build_plans, partition_intents
 from fewintent.trainer import (
     TrainConfig,
+    TrainItem,
     _Adam,
     _make_optimizer,
     _Sgd,
@@ -150,12 +152,12 @@ def shuffled_copy_schedule(items, vocab, params, cfg):
 
 def recorded_schedule(items, vocab, params, cfg, monkeypatch):
     """`fit_items` on the same inputs, with the same return shape as
-    `shuffled_copy_schedule`, read off its `tokenize` and gradient calls."""
+    `shuffled_copy_schedule`, read off its `lay_out` and gradient calls."""
     batches, epoch_batches, pending = [], [], []
 
-    def record_tokenize(plan, labels, vocab):
+    def record_lay_out(plan, labels, word_ids):
         pending.append((plan.utterance, plan.group.index))
-        return tokenize(plan, labels, vocab)
+        return lay_out(plan, labels, word_ids)
 
     def record_batch(params, seqs, cfg):
         epoch_batches.append(pending[:])
@@ -166,7 +168,7 @@ def recorded_schedule(items, vocab, params, cfg, monkeypatch):
         batches.append(epoch_batches[:])
         epoch_batches.clear()
 
-    monkeypatch.setattr(trainer, "tokenize", record_tokenize)
+    monkeypatch.setattr(trainer, "lay_out", record_lay_out)
     monkeypatch.setattr(trainer, "loss_and_param_grads", record_batch)
     _, report = fit_items(items, vocab, params, cfg, log=end_epoch)
     return report.epoch_losses, batches
@@ -197,16 +199,38 @@ class TestAgainstShuffledCopies:
         items = dataset_items(data, cfg.k)
         seen = []
 
-        def record_tokenize(plan, labels, vocab):
+        def record_lay_out(plan, labels, word_ids):
             seen.append(plan)
-            return tokenize(plan, labels, vocab)
+            return lay_out(plan, labels, word_ids)
 
-        monkeypatch.setattr(trainer, "tokenize", record_tokenize)
+        monkeypatch.setattr(trainer, "lay_out", record_lay_out)
         vocab = build_vocab([data])
         fit_items(items, vocab, cfg.new_params(vocab), cfg)
         built = {plan for item in items for plan in item.plans}
         assert set(seen) == built
         assert len(seen) == len(built) * cfg.shuffles_per_sequence
+
+
+class TestTokenizeOnce:
+    """`fit_items` tokenizes every text once a run, and still rejects what
+    `tokenize` rejects before it trains."""
+
+    @pytest.mark.parametrize(
+        "text, surfaces, order",
+        [
+            ("...", ("card arrival", "freeze"), (0, 1)),
+            ("freeze card", ("card arrival", "??"), (0, 1)),
+            ("freeze card", ("card arrival", "freeze"), (1, 0)),
+        ],
+        ids=["utterance-without-tokens", "label-without-tokens", "labels-out-of-order"],
+    )
+    def test_tokenize_errors_end_the_run(self, text, surfaces, order):
+        labels = tuple(IntentLabel(i, f"l{i}", surfaces[i]) for i in range(2))
+        plans = tuple(build_plans(LabeledUtterance(text, 0), partition_intents(labels, 2)))
+        vocab = build_vocab([["freeze card arrival"]])
+        items = [TrainItem(tuple(labels[i] for i in order), plans)]
+        with pytest.raises(DataError):
+            fit_items(items, vocab, small_cfg().new_params(vocab), small_cfg())
 
 
 class TestOptimizers:

@@ -34,7 +34,7 @@ def main():
 
     tasks = build_paraphrase_instances(corpus, n_target=args.intents, k=k, seed=args.seed)
     vocab = build_vocab([pair_sentences(corpus)])
-    cfg = TrainConfig(k=k, epochs=args.epochs, seed=args.seed, selection="train_loss")
+    cfg = TrainConfig(k=k, epochs=args.epochs, seed=args.seed)
     params = cfg.new_params(vocab)
 
     chance = 100.0 / args.intents

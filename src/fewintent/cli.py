@@ -511,17 +511,16 @@ def _cmd_eval(cfg: dict, explicit: set[str], writer: _Writer):
     train_pool = _load(cfg["train"], cfg)
     test_data = _load(cfg["test"], cfg)
     tc = _train_config(cfg)
-    report, run_preds = evaluate_runs(
+    report = evaluate_runs(
         train_pool, test_data, tc, cfg["seeds"], cfg["shots"],
         dev_fraction=cfg["dev_fraction"], init=_load_init(cfg, tc, explicit),
-        return_predictions=True,
     )
     for seed, acc in zip(report.seeds, report.accuracies):
         writer.write({"record": "run", "seed": seed, "accuracy": acc})
     writer.write({"record": "eval_report", **report.to_record()})
     print(report.to_text(), file=sys.stderr)
     if cfg["predictions_out"]:
-        _write_predictions(cfg["predictions_out"], test_data, zip(report.seeds, run_preds))
+        _write_predictions(cfg["predictions_out"], test_data, zip(report.seeds, report.predictions))
 
 
 def _cmd_zeroshot(cfg: dict, explicit: set[str], writer: _Writer):

@@ -5,7 +5,7 @@ used by the experiment scripts and the acceptance suite."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -52,6 +52,7 @@ class EvalReport:
     std: float  # population std over runs
     per_intent: dict[int, float]
     seeds: list[int]
+    predictions: list[list[Prediction]] = field(default_factory=list, repr=False)  # per run
 
     def to_record(self) -> dict:
         return {
@@ -94,6 +95,8 @@ def predict(
 
 def top1_accuracy(preds: Sequence[Prediction], data: Dataset) -> float:
     """Percentage of `data`'s examples whose top-ranked intent is the gold one."""
+    if not data.examples:
+        raise DataError(f"dataset {data.name!r} has no examples to score")
     correct = sum(1 for p, ex in zip(preds, data.examples) if p.predicted == ex.intent_id)
     return 100.0 * correct / len(data.examples)
 
@@ -124,7 +127,7 @@ def _rankings(
     if params.has_attention:
         scores = np.array([_grouped_scores(params, vocab, text, labels, groups) for text in texts])
     else:
-        scores = _label_once_scores(params, vocab, texts, labels, groups)
+        scores = _label_once_scores(params, vocab, texts, labels)
     ids = np.array([lab.id for lab in labels])
     rankings = []
     for row in scores:  # by score descending, then intent id ascending
@@ -143,16 +146,14 @@ def _grouped_scores(params, vocab, text, labels, groups) -> np.ndarray:
     return np.concatenate(scores)
 
 
-def _label_once_scores(params, vocab, texts, labels, groups) -> np.ndarray:
+def _label_once_scores(params, vocab, texts, labels) -> np.ndarray:
     """Each utterance's row of scores in inventory order, for a model without
     attention: every label span and every utterance is encoded once on its
-    own, which gives each the bits a sequence gives it."""
-    label_spans = []
-    for group in groups:  # `tokenize` checks the labels as the grouped path does
-        seq = tokenize(inference_plan(texts[0], group), labels, vocab)
-        for (s, e), intent in zip(seq.slot_spans, seq.slot_intents):
-            if intent != PLACEHOLDER:
-                label_spans.append(list(seq.token_ids[s:e]))
+    own, which gives each the bits a sequence gives it. The labels are laid
+    out as one all-label plan, so `tokenize` checks them as the grouped path
+    does."""
+    seq = tokenize(inference_plan(texts[0], partition_intents(labels, len(labels))[0]), labels, vocab)
+    label_spans = [list(seq.token_ids[s:e]) for s, e in seq.slot_spans]
     utterance_spans = [utterance_token_ids(text, vocab) for text in texts]
     return cosine_sim(encode_spans(params, utterance_spans), encode_spans(params, label_spans))
 
@@ -175,52 +176,41 @@ def evaluate_runs(
     shots: int,
     dev_fraction: float = 0.1,
     init: tuple[ModelParams, Vocabulary] | None = None,
-    zero_shot: bool = False,
-    return_predictions: bool = False,
-):
+) -> EvalReport:
     """Run the sample-train-test protocol once per seed and aggregate accuracy.
 
     Each run draws its own few-shot sample. When the dev cut would hold fewer
     than MIN_DEV_FOR_SELECTION examples the run trains on the full sample and
-    selects by training loss instead. Zero-shot mode skips training and scores
-    the provided parameters directly.
+    selects by training loss instead. With `epochs=0` each run scores `init`
+    (or fresh parameters) as given.
     """
     if not seeds:
         raise DataError("need at least one seed")
-    if zero_shot and init is None:
-        raise DataError("zero-shot evaluation needs pretrained parameters")
 
     k = cfg.group_size(test_data.n_intents)
     accuracies = []
     run_preds: list[list[Prediction]] = []
-    all_gold: list[int] = []
     for seed in seeds:
-        if zero_shot:
-            params, vocab = init
+        sample = sample_few_shot(train_pool, shots, seed)
+        n_dev = int(dev_fraction * len(sample.examples) + 1e-9)
+        if n_dev >= MIN_DEV_FOR_SELECTION:
+            tr, dev = split_dev(sample, dev_fraction, seed)
         else:
-            sample = sample_few_shot(train_pool, shots, seed)
-            n_dev = int(dev_fraction * len(sample.examples) + 1e-9)
-            if n_dev >= MIN_DEV_FOR_SELECTION:
-                tr, dev = split_dev(sample, dev_fraction, seed)
-            else:
-                tr, dev = sample, None
-            run_cfg = replace(cfg, k=k, seed=seed)
-            params, _, vocab = train(tr, dev, run_cfg, init=init)
+            tr, dev = sample, None
+        params, _, vocab = train(tr, dev, replace(cfg, k=k, seed=seed), init=init)
         preds = predict_dataset(params, vocab, test_data, k)
         accuracies.append(top1_accuracy(preds, test_data))
         run_preds.append(preds)
-        all_gold.extend(ex.intent_id for ex in test_data.examples)
 
-    report = EvalReport(
+    all_gold = [ex.intent_id for ex in test_data.examples] * len(seeds)
+    return EvalReport(
         accuracies=accuracies,
         mean=float(np.mean(accuracies)),
         std=float(np.std(accuracies)),
         per_intent=_per_intent_accuracy([p for preds in run_preds for p in preds], all_gold),
         seeds=list(seeds),
+        predictions=run_preds,
     )
-    if return_predictions:
-        return report, run_preds
-    return report
 
 
 def topk_miss(
@@ -301,8 +291,8 @@ def generate_synthetic(
     repeat the surface tokens plus random filler words."""
     if n_intents < 2:
         raise DataError(f"need at least 2 intents, got {n_intents}")
-    if shots < 1 or noise_tokens < 0:
-        raise DataError("bad shots/noise_tokens")
+    if shots < 1 or noise_tokens < 0 or test_per_intent < 1:
+        raise DataError("bad shots/noise_tokens/test_per_intent")
     rng = np.random.default_rng(seed)
     labels = tuple(
         IntentLabel(i, f"topic {i}-a {i}-b", f"topic {i}-a {i}-b") for i in range(n_intents)
@@ -375,6 +365,8 @@ def generate_transfer_task(
     """
     if n_intents < 2:
         raise DataError(f"need at least 2 intents, got {n_intents}")
+    if test_per_intent < 1:
+        raise DataError(f"test_per_intent must be >= 1, got {test_per_intent}")
     rng = np.random.default_rng(seed)
     labels = tuple(
         IntentLabel(i, f"beta{2 * i} beta{2 * i + 1}", f"beta{2 * i} beta{2 * i + 1}")

@@ -29,31 +29,27 @@ class LossConfig:
             raise DataError(f"temperature must be positive and finite, got {self.tau}")
 
 
-def cosine_scores(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Cosine similarity of every row of `us` (U, d) with every row of `vs`
-    (L, d) as a (U, L) array, clamped into [-1, 1] against rounding.
+def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """Cosine similarity of every row of `u` with every row of `v`, clamped
+    into [-1, 1] against rounding. Each side is a vector or a (rows, d)
+    stack; the result drops the axis of a side that is one vector, so two
+    vectors give a float and two stacks a (U, L) array.
 
     Dots and norms are elementwise products summed over the last axis, never
-    a BLAS product, so entry (i, j) depends on the rows us[i] and vs[j] alone
+    a BLAS product, so entry (i, j) depends on the rows u[i] and v[j] alone
     and scores the same bits however many rows stand beside them.
     """
+    u, v = np.asarray(u), np.asarray(v)
+    us, vs = np.atleast_2d(u), np.atleast_2d(v)
     nu = np.sqrt((us * us).sum(axis=-1))
     nv = np.sqrt((vs * vs).sum(axis=-1))
     if not (nu.all() and nv.all()):
         raise NumericError("cosine similarity of a zero-norm vector")
     out = np.empty((len(us), len(vs)))
-    for i, u in enumerate(us):  # one (L, d) temporary at a time, not (U, L, d)
-        out[i] = (vs * u).sum(axis=-1)
+    for i, row in enumerate(us):  # one (L, d) temporary at a time, not (U, L, d)
+        out[i] = (vs * row).sum(axis=-1)
     out /= nu[:, None] * nv
-    return np.clip(out, -1.0, 1.0, out=out)
-
-
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
-    """Cosine similarity of `u` with `v`, each a vector or a stack of row
-    vectors: `cosine_scores` without the axis of a side that is one vector,
-    so a float for two vectors."""
-    u, v = np.asarray(u), np.asarray(v)
-    scores = cosine_scores(np.atleast_2d(u), np.atleast_2d(v)).reshape(u.shape[:-1] + v.shape[:-1])
+    scores = np.clip(out, -1.0, 1.0, out=out).reshape(u.shape[:-1] + v.shape[:-1])
     return float(scores) if scores.ndim == 0 else scores
 
 

@@ -82,8 +82,8 @@ class TfidfIndex:
     """Deterministic tf-idf cosine ranker over a sentence corpus.
 
     Smoothed idf (ln((1+N)/(1+df)) + 1) keeps ubiquitous terms from vanishing;
-    ties break by corpus order. Sparse dict vectors plus an inverted index keep
-    queries linear in the number of matching postings.
+    ties break by corpus order. Each term's postings hold (sentence id, unit
+    tf-idf weight) pairs, so queries stay linear in the matching postings.
     """
 
     def __init__(self, sentences: Sequence[str]):
@@ -97,22 +97,15 @@ class TfidfIndex:
             for term in set(terms):
                 df[term] = df.get(term, 0) + 1
         self._idf = {t: math.log((1 + n_docs) / (1 + c)) + 1.0 for t, c in df.items()}
-        self._vectors: list[dict[str, float]] = []
-        self._postings: dict[str, list[int]] = {}
+        self._postings: dict[str, list[tuple[int, float]]] = {}
         for i, terms in enumerate(doc_terms):
-            vec: dict[str, float] = {}
-            for term in terms:
-                vec[term] = vec.get(term, 0.0) + self._idf[term]
-            norm = math.sqrt(sum(w * w for w in vec.values()))
-            if norm > 0:
-                vec = {t: w / norm for t, w in vec.items()}
-            self._vectors.append(vec)
-            for term in vec:
-                self._postings.setdefault(term, []).append(i)
+            for term, w in self._unit_weights(terms).items():
+                self._postings.setdefault(term, []).append((i, w))
 
-    def _query_vector(self, query: str) -> dict[str, float]:
+    def _unit_weights(self, terms: Sequence[str]) -> dict[str, float]:
+        """The unit-norm tf-idf vector of a term list; unknown terms drop out."""
         vec: dict[str, float] = {}
-        for term in word_tokens(query):
+        for term in terms:
             if term in self._idf:
                 vec[term] = vec.get(term, 0.0) + self._idf[term]
         norm = math.sqrt(sum(w * w for w in vec.values()))
@@ -120,11 +113,10 @@ class TfidfIndex:
 
     def rank(self, query: str, exclude_query: bool = True) -> list[tuple[int, float]]:
         """All corpus indices ranked by cosine similarity to the query."""
-        qvec = self._query_vector(query)
         scores = [0.0] * len(self.sentences)
-        for term, w in qvec.items():
-            for i in self._postings.get(term, ()):
-                scores[i] += w * self._vectors[i].get(term, 0.0)
+        for term, w in self._unit_weights(word_tokens(query)).items():
+            for i, doc_w in self._postings.get(term, ()):
+                scores[i] += w * doc_w
         order = sorted(range(len(self.sentences)), key=lambda i: (-scores[i], i))
         if exclude_query:
             order = [i for i in order if self.sentences[i] != query]
@@ -175,7 +167,7 @@ def build_paraphrase_instances(
     t = n_target - 1
 
     sentences = pair_sentences(pairs)
-    if len(sentences) < n_target:
+    if len(sentences) <= n_target:  # the anchor, its gold and t negatives are n_target + 1
         raise DataError(
             f"corpus of {len(sentences)} sentences cannot supply {t} negatives per anchor"
         )
@@ -185,16 +177,7 @@ def build_paraphrase_instances(
     tasks = []
     for pair in pairs:
         for anchor, gold in ((pair.anchor, pair.paraphrase), (pair.paraphrase, pair.anchor)):
-            negatives = []
-            for i, _ in index.rank(anchor, exclude_query=True):
-                s = index.sentences[i]
-                if s == gold:
-                    continue
-                negatives.append(s)
-                if len(negatives) == t:
-                    break
-            if len(negatives) < t:
-                raise DataError(f"could not mine {t} negatives for {anchor!r}")
+            negatives = [s for s in index.top_t(anchor, t + 1) if s != gold][:t]
             instance = PretrainInstance(anchor, gold, tuple(negatives))
 
             gold_pos = int(rng.integers(0, n_target))

@@ -78,6 +78,8 @@ class TrainConfig:
                 raise DataError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.k is not None and self.k < 1:
             raise DataError(f"group size must be >= 1, got {self.k}")
+        if self.k_min < 1 or self.k_min > self.k_max:
+            raise DataError(f"bad group-size range [{self.k_min}, {self.k_max}]")
         if self.shuffles_per_sequence is not None and self.shuffles_per_sequence < 1:
             raise DataError("shuffles_per_sequence must be >= 1")
         if self.optimizer not in ("sgd", "adam"):

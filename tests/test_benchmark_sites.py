@@ -1,10 +1,13 @@
 """Every library function the traced benchmark wraps still exists where it
 wraps it, so a refactor that drops or moves one of those names fails here
-and not only under `python -m pytest perfbench`; and a traced training run
-still reaches the sites that count its sequences and spans."""
+and not only under `python -m pytest perfbench`; a traced training run
+still reaches the sites that count its sequences and spans; and each
+workload's small check instance still gives the outputs the benchmark's
+reference holds, so a change to the library's outputs fails here too."""
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +48,15 @@ def test_traced_training_counts_sequences_and_slot_spans(attention):
     units = tracer.totals("unit")
     assert units.count("encoder.sequences") == 10 * 2
     assert units.count("encoder.slot_spans") == 10 * 2 * 3
+
+
+REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE))
+def test_check_instance_matches_reference(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # workloads imports its sibling `layers`
+    workloads = importlib.import_module("workloads")
+    wl, ref = workloads.WORKLOADS[name], REFERENCE[name]
+    unit, _ = wl.unit(wl.setup(ref["check_seed"], tmp_path, "check"))
+    assert workloads.mismatches(ref["check"], unit.outputs) == []

@@ -384,6 +384,7 @@ class TestExitCodes:
               ("--d-emb", "--d-hidden", "--d-out", "--projector-depth", "--min-count")],
             ("--tau", "nan"), ("--tau", "inf"),
             ("--learning-rate", "nan"), ("--learning-rate", "inf"),
+            ("--k-min", "0"), ("--k-max", "19"),  # below 1; below the default k_min of 20
         ],
     )
     def test_untrainable_config_is_2_before_output(self, synth_dir, flag, value):
@@ -415,6 +416,13 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         metrics = synth_dir / "m.jsonl"
         assert not metrics.exists() or metrics.read_text() == ""
+
+    def test_synth_without_test_examples_is_2(self, tmp_path):
+        out = run_cli(["synth", "--intents", "4", "--test-per-intent", "0", "--out-dir", "d"],
+                      cwd=tmp_path)
+        assert out.returncode == 2
+        assert "data error" in out.stderr and "Traceback" not in out.stderr
+        assert not (tmp_path / "d" / "test.jsonl").exists()
 
     def test_help_is_0(self, tmp_path):
         out = run_cli(["--help"], cwd=tmp_path)

@@ -206,8 +206,7 @@ class TestEvaluateRuns:
         test = Dataset(labels, tuple(LabeledUtterance(f"lbl{i}", i) for i in range(3)))
         cfg = TrainConfig(k=3, epochs=0, seed=0)
         report = evaluate_runs(
-            test, test, cfg, seeds=[1, 2, 3], shots=1,
-            init=(params, vocab), zero_shot=True,
+            test, test, cfg, seeds=[1, 2, 3], shots=1, init=(params, vocab)
         )
         assert report.accuracies == [100.0, 100.0, 100.0]
         assert report.mean == 100.0 and report.std == 0.0
@@ -230,6 +229,19 @@ class TestEvaluateRuns:
         pool, test = generate_synthetic(3, 2, 0, seed=0)
         with pytest.raises(DataError):
             evaluate_runs(pool, test, TrainConfig(k=3), seeds=[], shots=1)
+
+    def test_empty_test_set_is_data_error(self):
+        pool, test = generate_synthetic(3, 2, 0, seed=0)
+        with pytest.raises(DataError, match="no examples"):
+            evaluate_runs(pool, Dataset(test.labels, ()), TrainConfig(k=3, epochs=0), [0], 1)
+
+    def test_report_carries_each_runs_predictions(self):
+        params, vocab, labels = one_hot_model(3)
+        test = Dataset(labels, tuple(LabeledUtterance(f"lbl{i}", i) for i in range(3)))
+        cfg = TrainConfig(k=3, epochs=0, seed=0)
+        report = evaluate_runs(test, test, cfg, seeds=[4, 5], shots=1, init=(params, vocab))
+        assert [[p.predicted for p in preds] for preds in report.predictions] == [[0, 1, 2]] * 2
+        assert "predictions" not in report.to_record()
 
 
 class TestTopkMiss:
@@ -297,6 +309,10 @@ class TestGenerateSynthetic:
                 word_tokens(train.labels[ex.intent_id].surface)
             )
 
+    def test_needs_test_examples(self):
+        with pytest.raises(DataError):
+            generate_synthetic(3, 1, 0, seed=0, test_per_intent=0)
+
     def test_deterministic(self):
         a = generate_synthetic(5, 2, 2, seed=9)
         b = generate_synthetic(5, 2, 2, seed=9)
@@ -325,6 +341,10 @@ class TestTransferGenerators:
         label_tokens = {w for lab in task.labels for w in word_tokens(lab.surface)}
         for ex in task.examples:
             assert not set(word_tokens(ex.text)) & label_tokens
+
+    def test_task_needs_test_examples(self):
+        with pytest.raises(DataError):
+            generate_transfer_task(5, seed=1, test_per_intent=0)
 
 
 def test_report_serialization_round_trip():

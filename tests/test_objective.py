@@ -9,7 +9,6 @@ from fewintent.errors import DataError, NumericError
 from fewintent.objective import (
     LossConfig,
     batch_loss,
-    cosine_scores,
     cosine_sim,
     loss_targets,
     sequence_loss,
@@ -83,9 +82,9 @@ class TestCosineScores:
         rng = np.random.default_rng(seed)
         us = rng.normal(size=(n_u + extra_u, d))
         vs = rng.normal(size=(n_v + extra_v, d))
-        full = cosine_scores(us, vs)
+        full = cosine_sim(us, vs)
         assert full.shape == (n_u + extra_u, n_v + extra_v)
-        assert np.array_equal(full[:n_u, :n_v], cosine_scores(us[:n_u], vs[:n_v]))
+        assert np.array_equal(full[:n_u, :n_v], cosine_sim(us[:n_u], vs[:n_v]))
         for i in range(n_u):
             for j in range(n_v):
                 assert full[i, j] == cosine_sim(us[i], vs[j])
@@ -94,15 +93,15 @@ class TestCosineScores:
         rng = np.random.default_rng(0)
         us, vs = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
         assert isinstance(cosine_sim(us[0], vs[0]), float)
-        assert np.array_equal(cosine_sim(us[0], vs), cosine_scores(us[:1], vs)[0])
-        assert np.array_equal(cosine_sim(us, vs[0]), cosine_scores(us, vs[:1])[:, 0])
-        assert np.array_equal(cosine_sim(us, vs), cosine_scores(us, vs))
+        assert np.array_equal(cosine_sim(us[0], vs), cosine_sim(us[:1], vs)[0])
+        assert np.array_equal(cosine_sim(us, vs[0]), cosine_sim(us, vs[:1])[:, 0])
+        assert cosine_sim(us, vs).shape == (3, 4)
 
     def test_clamped(self):
         # Unclamped, this vector's cosine with itself rounds to 1 + 2**-52.
         u = np.array([[1.0425133694426776, -0.12853466294403426]])
-        assert cosine_scores(u, u)[0, 0] == 1.0
-        assert cosine_scores(u, -u)[0, 0] == -1.0
+        assert cosine_sim(u, u)[0, 0] == 1.0
+        assert cosine_sim(u, -u)[0, 0] == -1.0
 
     @pytest.mark.parametrize("side", ["us", "vs"])
     def test_zero_norm_row_raises(self, side):
@@ -110,7 +109,7 @@ class TestCosineScores:
         rows[1] = 0.0
         args = (rows, np.ones((2, 4))) if side == "us" else (np.ones((2, 4)), rows)
         with pytest.raises(NumericError):
-            cosine_scores(*args)
+            cosine_sim(*args)
 
 
 class TestClosedForms:

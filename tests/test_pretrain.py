@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fewintent.corpus import Dataset, IntentLabel, LabeledUtterance
 from fewintent.errors import DataError
@@ -10,11 +11,19 @@ from fewintent.pretrain import (
     build_paraphrase_instances,
     build_similarity_index,
     filter_pairs,
+    pair_sentences,
     pairs_from_tsv,
     plan_record,
 )
 from fewintent.sequencer import PLACEHOLDER
 from fewintent.trainer import dataset_items
+
+import dict_tfidf
+
+# A small vocabulary, so corpora repeat terms within a sentence and tie
+# scores across sentences; "Pay" and "card." reach the same terms.
+WORDS = ("pay", "card", "bill", "my", "the", "now", "Pay", "card.")
+sentence_st = st.lists(st.sampled_from(WORDS), min_size=1, max_size=5).map(" ".join)
 
 
 def boundary_fixture():
@@ -100,6 +109,49 @@ class TestTfidfIndex:
             build_similarity_index(["only one"])
 
 
+def _bits(ranked):
+    return [(i, score.hex()) for i, score in ranked]
+
+
+class TestAgainstDictVectorIndex:
+    """The postings-with-weights index ranks as the dict-vector index did,
+    ids and score bits both, and mining through it builds the same tasks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus=st.lists(sentence_st, min_size=2, max_size=8),
+        query=st.one_of(sentence_st, st.just("zzz unseen"), st.just("")),
+        from_corpus=st.integers(0, 7),
+        exclude_query=st.booleans(),
+    )
+    def test_rank_bit_identical(self, corpus, query, from_corpus, exclude_query):
+        if from_corpus < len(corpus):
+            query = corpus[from_corpus]
+        new = build_similarity_index(corpus).rank(query, exclude_query=exclude_query)
+        ref = dict_tfidf.DictTfidfIndex(corpus).rank(query, exclude_query=exclude_query)
+        assert _bits(new) == _bits(ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sides=st.lists(st.tuples(sentence_st, sentence_st), min_size=2, max_size=6),
+        n_target=st.integers(2, 11),
+        k=st.integers(1, 11),
+        seed=st.integers(0, 2**16),
+    )
+    def test_mining_builds_the_same_tasks(self, sides, n_target, k, seed):
+        pairs = [ParaphrasePair(a, b) for a, b in sides if a != b]
+        n_target = min(n_target, len(pair_sentences(pairs)) - 1)
+        if n_target < 2:
+            return
+        got = build_paraphrase_instances(pairs, n_target, k, seed=seed)
+        assert got == dict_tfidf.paraphrase_tasks(pairs, n_target, k, seed=seed)
+
+    def test_mining_at_scale(self):
+        pairs = generate_paraphrase_corpus(60, 30, seed=4)
+        got = build_paraphrase_instances(pairs, n_target=20, k=7, seed=1)
+        assert got == dict_tfidf.paraphrase_tasks(pairs, n_target=20, k=7, seed=1)
+
+
 class TestBuildParaphraseInstances:
     def test_counts_at_scale(self):
         # 40 pairs = 80 distinct sentences; n_target=77 mirrors a 77-intent
@@ -146,6 +198,13 @@ class TestBuildParaphraseInstances:
         pairs = [ParaphrasePair("a b", "c d")]
         with pytest.raises(DataError):
             build_paraphrase_instances(pairs, n_target=5, k=5)
+
+    def test_corpus_of_exactly_n_target_sentences(self):
+        # Four sentences less the anchor and its gold leave two negatives, not three.
+        pairs = [ParaphrasePair("pay the bill", "settle the bill"),
+                 ParaphrasePair("weather today", "forecast now")]
+        with pytest.raises(DataError, match="corpus of 4 sentences cannot supply 3 negatives"):
+            build_paraphrase_instances(pairs, n_target=4, k=2)
 
     def test_deterministic(self):
         pairs = generate_paraphrase_corpus(12, 9, seed=3)

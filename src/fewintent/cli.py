@@ -22,6 +22,7 @@ from .corpus import Dataset, build_ood, load_dataset, split_dev
 from .encoder import build_vocab
 from .errors import DataError, NumericError
 from .evaluator import (
+    check_synthetic_counts,
     evaluate_runs,
     generate_synthetic,
     label_filter_rankings,
@@ -610,6 +611,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         negative = [s for s in (cfg.get("seed", 0), *cfg.get("seeds", ())) if s < 0]
         if negative:
             raise DataError(f"seeds must be non-negative, got {negative[0]}")
+        if args._command == "synth":
+            check_synthetic_counts(
+                cfg["intents"], cfg["shots"], cfg["noise_tokens"], cfg["test_per_intent"]
+            )
         writer = _Writer(cfg.get("out"))
         try:
             writer.write({"record": "config", "command": args._command, "config": cfg})

@@ -280,6 +280,20 @@ def sweep_table(rows: Sequence[SweepRow]) -> str:
 # --- synthetic tasks ----------------------------------------------------------
 
 
+def check_synthetic_counts(
+    n_intents: int, shots: int, noise_tokens: int, test_per_intent: int
+) -> None:
+    """Raise `DataError` naming the first count `generate_synthetic` cannot use."""
+    if n_intents < 2:
+        raise DataError(f"need at least 2 intents, got {n_intents}")
+    if shots < 1:
+        raise DataError(f"shots must be >= 1, got {shots}")
+    if noise_tokens < 0:
+        raise DataError(f"noise_tokens must be >= 0, got {noise_tokens}")
+    if test_per_intent < 1:
+        raise DataError(f"test_per_intent must be >= 1, got {test_per_intent}")
+
+
 def generate_synthetic(
     n_intents: int,
     shots: int,
@@ -289,10 +303,7 @@ def generate_synthetic(
 ) -> tuple[Dataset, Dataset]:
     """Separable toy task: intent i has surface "topic i-a i-b" and utterances
     repeat the surface tokens plus random filler words."""
-    if n_intents < 2:
-        raise DataError(f"need at least 2 intents, got {n_intents}")
-    if shots < 1 or noise_tokens < 0 or test_per_intent < 1:
-        raise DataError("bad shots/noise_tokens/test_per_intent")
+    check_synthetic_counts(n_intents, shots, noise_tokens, test_per_intent)
     rng = np.random.default_rng(seed)
     labels = tuple(
         IntentLabel(i, f"topic {i}-a {i}-b", f"topic {i}-a {i}-b") for i in range(n_intents)

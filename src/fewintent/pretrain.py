@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -82,14 +84,16 @@ class TfidfIndex:
     """Deterministic tf-idf cosine ranker over a sentence corpus.
 
     Smoothed idf (ln((1+N)/(1+df)) + 1) keeps ubiquitous terms from vanishing;
-    ties break by corpus order. Each term's postings hold (sentence id, unit
-    tf-idf weight) pairs, so queries stay linear in the matching postings.
+    ties break by corpus order. Each term's postings are two arrays, sentence
+    ids and their unit tf-idf weights for the term, so a query is scored by
+    one array update per query term.
     """
 
     def __init__(self, sentences: Sequence[str]):
         if len(sentences) < 2:
             raise DataError("similarity index needs at least 2 sentences")
         self.sentences = list(sentences)
+        self._copies = Counter(self.sentences)
         n_docs = len(self.sentences)
         doc_terms = [word_tokens(s) for s in self.sentences]
         df: dict[str, int] = {}
@@ -97,10 +101,14 @@ class TfidfIndex:
             for term in set(terms):
                 df[term] = df.get(term, 0) + 1
         self._idf = {t: math.log((1 + n_docs) / (1 + c)) + 1.0 for t, c in df.items()}
-        self._postings: dict[str, list[tuple[int, float]]] = {}
+        postings: dict[str, list[tuple[int, float]]] = {}
         for i, terms in enumerate(doc_terms):
             for term, w in self._unit_weights(terms).items():
-                self._postings.setdefault(term, []).append((i, w))
+                postings.setdefault(term, []).append((i, w))
+        self._postings = {  # term -> (sentence ids, unit weights)
+            term: (np.array([i for i, _ in p], dtype=np.intp), np.array([w for _, w in p]))
+            for term, p in postings.items()
+        }
 
     def _unit_weights(self, terms: Sequence[str]) -> dict[str, float]:
         """The unit-norm tf-idf vector of a term list; unknown terms drop out."""
@@ -111,23 +119,46 @@ class TfidfIndex:
         norm = math.sqrt(sum(w * w for w in vec.values()))
         return {t: w / norm for t, w in vec.items()} if norm > 0 else {}
 
-    def rank(self, query: str, exclude_query: bool = True) -> list[tuple[int, float]]:
-        """All corpus indices ranked by cosine similarity to the query."""
-        scores = [0.0] * len(self.sentences)
+    def _scores(self, query: str) -> np.ndarray:
+        """Cosine similarity of every sentence to the query. Each posting adds
+        one product in query-term order, as a per-sentence loop would, so the
+        bits match it; an id occurs once per term, so `+=` drops no product."""
+        scores = np.zeros(len(self.sentences))
         for term, w in self._unit_weights(word_tokens(query)).items():
-            for i, doc_w in self._postings.get(term, ()):
-                scores[i] += w * doc_w
-        order = sorted(range(len(self.sentences)), key=lambda i: (-scores[i], i))
+            if term in self._postings:
+                ids, weights = self._postings[term]
+                scores[ids] += w * weights
+        return scores
+
+    def rank(
+        self, query: str, exclude_query: bool = True, top: int | None = None
+    ) -> list[tuple[int, float]]:
+        """(index, score) of corpus sentences ranked by cosine similarity to
+        the query, ties by index. With `top`, only the first `top` entries:
+        a partial selection finds the cut score, counting the query's own
+        copies, and only the sentences at or above it are sorted."""
+        if top is not None and top < 0:
+            raise DataError(f"asked for {top} neighbors; the count must be non-negative")
+        scores = self._scores(query)
+        neg = -scores
+        cand = np.arange(len(scores))
+        if top is not None:
+            need = top + (self._copies[query] if exclude_query else 0)
+            if 0 < need < len(scores):
+                cut = np.partition(neg, need - 1)[need - 1]
+                cand = np.flatnonzero(neg <= cut)
+        order = cand[np.lexsort((cand, neg[cand]))].tolist()
         if exclude_query:
             order = [i for i in order if self.sentences[i] != query]
-        return [(i, scores[i]) for i in order]
+        order = order[:top]
+        return list(zip(order, scores[order].tolist()))
 
     def top_t(self, query: str, t: int) -> list[str]:
         """The t most similar sentences, excluding the query itself."""
-        ranked = self.rank(query, exclude_query=True)
-        if t > len(ranked):
+        ranked = self.rank(query, top=t)
+        if len(ranked) < t:
             raise DataError(f"asked for {t} neighbors, only {len(ranked)} candidates")
-        return [self.sentences[i] for i, _ in ranked[:t]]
+        return [self.sentences[i] for i, _ in ranked]
 
 
 def build_similarity_index(sentences: Sequence[str]) -> TfidfIndex:
@@ -174,6 +205,7 @@ def build_paraphrase_instances(
     index = index_factory(sentences)
 
     rng = np.random.default_rng(seed)
+    surface = cache(_sentence_surface)  # each candidate's surface once per call
     tasks = []
     for pair in pairs:
         for anchor, gold in ((pair.anchor, pair.paraphrase), (pair.paraphrase, pair.anchor)):
@@ -183,9 +215,7 @@ def build_paraphrase_instances(
             gold_pos = int(rng.integers(0, n_target))
             candidates = list(negatives)
             candidates.insert(gold_pos, gold)
-            labels = tuple(
-                IntentLabel(i, s, _sentence_surface(s)) for i, s in enumerate(candidates)
-            )
+            labels = tuple(IntentLabel(i, s, surface(s)) for i, s in enumerate(candidates))
             groups = partition_intents(labels, k)
             utt = LabeledUtterance(anchor, gold_pos)
             plans = tuple(build_plans(utt, groups))

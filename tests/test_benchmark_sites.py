@@ -1,7 +1,8 @@
 """Every library function the traced benchmark wraps still exists where it
 wraps it, so a refactor that drops or moves one of those names fails here
 and not only under `python -m pytest perfbench`; a traced training run
-still reaches the sites that count its sequences and spans; and each
+still reaches the sites that count its sequences and spans; traced mining
+still counts one `rank` query per anchor; and each
 workload's small check instance still gives the outputs the benchmark's
 reference holds, so a change to the library's outputs fails here too."""
 
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from fewintent import trainer
+from fewintent import pretrain, trainer
+from fewintent.evaluator import generate_paraphrase_corpus
 
 from conftest import make_dataset
 
@@ -48,6 +50,18 @@ def test_traced_training_counts_sequences_and_slot_spans(attention):
     units = tracer.totals("unit")
     assert units.count("encoder.sequences") == 10 * 2
     assert units.count("encoder.slot_spans") == 10 * 2 * 3
+
+
+def test_traced_mining_counts_one_rank_call_per_anchor():
+    layers, tracing = _load("layers"), _load("tracing")
+    pairs = generate_paraphrase_corpus(20, 12, seed=0)
+    tracer = tracing.Tracer()
+    tracer.begin_run("unit")
+    tasks = pretrain.build_paraphrase_instances(
+        pairs, 6, 3, index_factory=layers.index_factory(tracer)
+    )
+    assert len(tasks) == 2 * len(pairs)
+    assert tracer.totals("unit").count("pretrain.rank_calls") == len(tasks)
 
 
 REFERENCE = json.loads((PERFBENCH / "reference.json").read_text())

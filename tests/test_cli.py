@@ -424,6 +424,25 @@ class TestExitCodes:
         assert "data error" in out.stderr and "Traceback" not in out.stderr
         assert not (tmp_path / "d" / "test.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--intents", "0", "intents"),
+            ("--intents", "1", "intents"),
+            ("--shots", "0", "shots"),
+            ("--noise-tokens", "-1", "noise_tokens"),
+            ("--test-per-intent", "0", "test_per_intent"),
+        ],
+    )
+    def test_bad_synth_count_is_2_before_output(self, tmp_path, flag, value, field):
+        args = {"--intents": "4", "--out-dir": "d", "--out": "s.jsonl", flag: value}
+        out = run_cli(["synth", *[a for pair in args.items() for a in pair]], cwd=tmp_path)
+        assert out.returncode == 2
+        assert "data error" in out.stderr and field in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (tmp_path / "s.jsonl").exists()
+        assert not (tmp_path / "d").exists()
+
     def test_help_is_0(self, tmp_path):
         out = run_cli(["--help"], cwd=tmp_path)
         assert out.returncode == 0

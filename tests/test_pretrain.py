@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fewintent.corpus import Dataset, IntentLabel, LabeledUtterance
 from fewintent.errors import DataError
@@ -93,6 +93,16 @@ class TestTfidfIndex:
         with pytest.raises(DataError):
             index.top_t("pay card", 3)
 
+    def test_negative_t(self):
+        index = build_similarity_index(["a b", "b c", "c d", "d e"])
+        with pytest.raises(DataError, match="-1 neighbors"):
+            index.top_t("a b", -1)
+        with pytest.raises(DataError, match="-1 neighbors"):
+            index.rank("a b", top=-1)
+
+    def test_zero_t(self):
+        assert build_similarity_index(self.CORPUS).top_t("pay card", 0) == []
+
     def test_swap_changes_only_tie_order(self):
         # Two documents equidistant from the query swap ranks with their
         # corpus positions; everything else is unchanged.
@@ -150,6 +160,49 @@ class TestAgainstDictVectorIndex:
         pairs = generate_paraphrase_corpus(60, 30, seed=4)
         got = build_paraphrase_instances(pairs, n_target=20, k=7, seed=1)
         assert got == dict_tfidf.paraphrase_tasks(pairs, n_target=20, k=7, seed=1)
+
+
+def small_vocab_corpus(draw, n_words):
+    """30-200 sentences over `n_words` words: scores tie in large blocks."""
+    words = st.sampled_from(("pay", "card", "bill", "my", "now")[:n_words])
+    sentence = st.lists(words, min_size=1, max_size=4).map(" ".join)
+    return draw(st.lists(sentence, min_size=30, max_size=200))
+
+
+class TestPartialSelection:
+    """`rank(q, top=t)` and `top_t(q, t)` are the first t entries of the
+    dict-vector index's full ranking, ids and score bits, on corpora large
+    enough that the selected cut leaves most of the corpus out and falls
+    inside blocks of tied scores."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n_words=st.integers(3, 5), exclude_query=st.booleans())
+    def test_top_matches_full_ranking(self, data, n_words, exclude_query):
+        corpus = small_vocab_corpus(data.draw, n_words)
+        query = data.draw(st.one_of(st.sampled_from(corpus), st.just("zzz unseen")))
+        for _ in range(data.draw(st.integers(0, 3))):  # more copies of the query
+            corpus.insert(data.draw(st.integers(0, len(corpus))), query)
+        ref = dict_tfidf.DictTfidfIndex(corpus).rank(query, exclude_query=exclude_query)
+        assume(ref)  # a corpus of query copies only has no candidates
+        t = data.draw(st.integers(1, len(ref)))
+        index = build_similarity_index(corpus)
+        assert _bits(index.rank(query, exclude_query=exclude_query, top=t)) == _bits(ref[:t])
+        if exclude_query:
+            assert index.top_t(query, t) == [corpus[i] for i, _ in ref[:t]]
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), n_words=st.integers(3, 5))
+    def test_every_t(self, data, n_words):
+        corpus = small_vocab_corpus(data.draw, n_words)
+        query = data.draw(st.sampled_from(corpus))
+        ref = dict_tfidf.DictTfidfIndex(corpus).rank(query)
+        index = build_similarity_index(corpus)
+        for t in range(1, len(ref) + 1):
+            assert _bits(index.rank(query, top=t)) == _bits(ref[:t])
+
+    def test_query_without_known_terms_ranks_by_index(self):
+        corpus = [f"pay card {i % 3}" for i in range(40)]
+        assert build_similarity_index(corpus).top_t("zzz unseen", 5) == corpus[:5]
 
 
 class TestBuildParaphraseInstances:

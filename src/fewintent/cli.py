@@ -22,7 +22,6 @@ from .corpus import Dataset, build_ood, load_dataset, split_dev
 from .encoder import build_vocab
 from .errors import DataError, NumericError
 from .evaluator import (
-    check_synthetic_counts,
     evaluate_runs,
     generate_synthetic,
     label_filter_rankings,
@@ -65,6 +64,7 @@ class Opt:
     default: object = None
     help: str = ""
     required: bool = False
+    low: int | None = None  # least accepted value, of each entry for a list
 
     @property
     def flag(self) -> str:
@@ -100,105 +100,6 @@ _SEED = Opt("seed", "int", 0, "seed governing all randomness in this run")
 
 def _pretrain_hyperparams():
     return [Opt("epochs", "int", 3, "pretraining epochs") if o.name == "epochs" else o for o in _HYPERPARAMS]
-
-
-_COMMANDS: dict[str, list[Opt]] = {
-    "synth": [
-        Opt("intents", "int", required=True, help="number of intents"),
-        Opt("shots", "int", 5, "training examples per intent"),
-        Opt("noise_tokens", "int", 3, "filler words per utterance"),
-        Opt("test_per_intent", "int", 20, "test examples per intent"),
-        Opt("out_dir", "str", required=True, help="directory for train.jsonl/test.jsonl"),
-        _SEED,
-        _OUT,
-    ],
-    "ingest": [
-        Opt("input", "str", required=True, help="dataset file"),
-        _FORMAT,
-        _INVENTORY,
-        _OUT,
-    ],
-    "train": [
-        Opt("train", "str", required=True, help="training dataset"),
-        _FORMAT,
-        _INVENTORY,
-        Opt("dev", "str", None, "explicit dev dataset"),
-        Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent; 0 disables"),
-        *_HYPERPARAMS,
-        Opt("init", "str", None, "warm-start checkpoint"),
-        Opt("ckpt", "str", None, "where to save the trained checkpoint"),
-        _SEED,
-        _OUT,
-    ],
-    "pretrain-ood": [
-        Opt("target", "str", required=True, help="target task (fixes group size and vocabulary)"),
-        Opt("others", "strlist", required=True, help="comma-separated source datasets"),
-        _FORMAT,
-        Opt("exclude_domains", "strlist", [], "domains dropped from the sources"),
-        Opt("dev_fraction", "float", 0.1, "dev split of the pooled data; 0 disables"),
-        *_pretrain_hyperparams(),
-        Opt("ckpt", "str", None, "where to save the pretrained checkpoint"),
-        Opt("plans_out", "str", None, "audit JSONL of the generated plans"),
-        _SEED,
-        _OUT,
-    ],
-    "pretrain-para": [
-        Opt("pairs", "str", required=True, help="TSV of anchor<TAB>paraphrase"),
-        Opt("n_target", "int", None, "candidate count per anchor (or derive via --target)"),
-        Opt("target", "str", None, "target task whose intent count sets n_target"),
-        Opt("max_words", "int", 10, "per-side word cap"),
-        Opt("max_chars", "int", 40, "per-side character cap"),
-        _FORMAT,
-        *_pretrain_hyperparams(),
-        Opt("ckpt", "str", None, "where to save the pretrained checkpoint"),
-        Opt("plans_out", "str", None, "audit JSONL of the generated plans"),
-        _SEED,
-        _OUT,
-    ],
-    "eval": [
-        Opt("train", "str", required=True, help="training pool"),
-        Opt("test", "str", required=True, help="test dataset"),
-        _FORMAT,
-        _INVENTORY,
-        Opt("shots", "int", required=True, help="examples sampled per intent per run"),
-        Opt("seeds", "intlist", [0, 1, 2], "one run per seed"),
-        Opt("dev_fraction", "float", 0.1, "dev split of each few-shot sample"),
-        *_HYPERPARAMS,
-        Opt("init", "str", None, "warm-start checkpoint for every run"),
-        Opt("predictions_out", "str", None, "per-run predictions JSONL"),
-        _OUT,
-    ],
-    "zeroshot": [
-        Opt("ckpt", "str", required=True, help="pretrained checkpoint"),
-        Opt("test", "str", required=True, help="test dataset"),
-        _FORMAT,
-        _INVENTORY,
-        *_GROUP_SIZE,
-        Opt("predictions_out", "str", None, "predictions JSONL"),
-        _OUT,
-    ],
-    "sweep-k": [
-        Opt("train", "str", required=True, help="training dataset"),
-        _FORMAT,
-        _INVENTORY,
-        Opt("dev", "str", None, "explicit dev dataset"),
-        Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent"),
-        Opt("k_values", "intlist", required=True, help="group sizes to sweep, e.g. 2,10,20"),
-        *[o for o in _HYPERPARAMS if o.name != "k"],
-        _SEED,
-        _OUT,
-    ],
-    "diagnose-topk": [
-        Opt("ckpt", "str", required=True, help="trained checkpoint"),
-        Opt("test", "str", required=True, help="test dataset"),
-        _FORMAT,
-        _INVENTORY,
-        *_GROUP_SIZE,
-        Opt("k_top", "int", 5, "filter depth for the miss count"),
-        Opt("predictions_out", "str", None, "predictions JSONL"),
-        _OUT,
-    ],
-}
 
 
 def _coerce(opt: Opt, raw: str):
@@ -262,7 +163,8 @@ def _resolve(args) -> tuple[dict, set[str]]:
     """Merge flags over config-file values over defaults.
 
     Returns the resolved config plus the set of keys the user set explicitly
-    (by flag or file) rather than inheriting a default.
+    (by flag or file) rather than inheriting a default. A value below its
+    option's `low` is a `DataError`.
     """
     schema = {o.name: o for o in args._opts}
     from_file = _read_config_file(args.config, schema) if args.config else {}
@@ -278,8 +180,13 @@ def _resolve(args) -> tuple[dict, set[str]]:
             explicit.add(opt.name)
         else:
             resolved[opt.name] = opt.default
-        if opt.required and resolved[opt.name] is None:
+        value = resolved[opt.name]
+        if opt.required and value is None:
             raise UsageError(f"missing required option {opt.flag}")
+        if opt.low is not None and value is not None:
+            for v in value if isinstance(value, list) else [value]:
+                if v < opt.low:
+                    raise DataError(f"{opt.name} must be >= {opt.low}, got {v}")
     return resolved, explicit
 
 
@@ -574,24 +481,110 @@ def _cmd_diagnose_topk(cfg: dict, explicit: set[str], writer: _Writer):
         _write_predictions(cfg["predictions_out"], test_data, [(None, preds)])
 
 
-_DISPATCH = {
-    "synth": _cmd_synth,
-    "ingest": _cmd_ingest,
-    "train": _cmd_train,
-    "pretrain-ood": _cmd_pretrain_ood,
-    "pretrain-para": _cmd_pretrain_para,
-    "eval": _cmd_eval,
-    "zeroshot": _cmd_zeroshot,
-    "sweep-k": _cmd_sweep_k,
-    "diagnose-topk": _cmd_diagnose_topk,
+_COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
+    "synth": (_cmd_synth, [
+        Opt("intents", "int", required=True, help="number of intents", low=2),
+        Opt("shots", "int", 5, "training examples per intent", low=1),
+        Opt("noise_tokens", "int", 3, "filler words per utterance", low=0),
+        Opt("test_per_intent", "int", 20, "test examples per intent", low=1),
+        Opt("out_dir", "str", required=True, help="directory for train.jsonl/test.jsonl"),
+        _SEED,
+        _OUT,
+    ]),
+    "ingest": (_cmd_ingest, [
+        Opt("input", "str", required=True, help="dataset file"),
+        _FORMAT,
+        _INVENTORY,
+        _OUT,
+    ]),
+    "train": (_cmd_train, [
+        Opt("train", "str", required=True, help="training dataset"),
+        _FORMAT,
+        _INVENTORY,
+        Opt("dev", "str", None, "explicit dev dataset"),
+        Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent; 0 disables"),
+        *_HYPERPARAMS,
+        Opt("init", "str", None, "warm-start checkpoint"),
+        Opt("ckpt", "str", None, "where to save the trained checkpoint"),
+        _SEED,
+        _OUT,
+    ]),
+    "pretrain-ood": (_cmd_pretrain_ood, [
+        Opt("target", "str", required=True, help="target task (fixes group size and vocabulary)"),
+        Opt("others", "strlist", required=True, help="comma-separated source datasets"),
+        _FORMAT,
+        Opt("exclude_domains", "strlist", [], "domains dropped from the sources"),
+        Opt("dev_fraction", "float", 0.1, "dev split of the pooled data; 0 disables"),
+        *_pretrain_hyperparams(),
+        Opt("ckpt", "str", None, "where to save the pretrained checkpoint"),
+        Opt("plans_out", "str", None, "audit JSONL of the generated plans"),
+        _SEED,
+        _OUT,
+    ]),
+    "pretrain-para": (_cmd_pretrain_para, [
+        Opt("pairs", "str", required=True, help="TSV of anchor<TAB>paraphrase"),
+        Opt("n_target", "int", None, "candidate count per anchor (or derive via --target)"),
+        Opt("target", "str", None, "target task whose intent count sets n_target"),
+        Opt("max_words", "int", 10, "per-side word cap", low=1),
+        Opt("max_chars", "int", 40, "per-side character cap", low=1),
+        _FORMAT,
+        *_pretrain_hyperparams(),
+        Opt("ckpt", "str", None, "where to save the pretrained checkpoint"),
+        Opt("plans_out", "str", None, "audit JSONL of the generated plans"),
+        _SEED,
+        _OUT,
+    ]),
+    "eval": (_cmd_eval, [
+        Opt("train", "str", required=True, help="training pool"),
+        Opt("test", "str", required=True, help="test dataset"),
+        _FORMAT,
+        _INVENTORY,
+        Opt("shots", "int", required=True, help="examples sampled per intent per run", low=1),
+        Opt("seeds", "intlist", [0, 1, 2], "one run per seed"),
+        Opt("dev_fraction", "float", 0.1, "dev split of each few-shot sample"),
+        *_HYPERPARAMS,
+        Opt("init", "str", None, "warm-start checkpoint for every run"),
+        Opt("predictions_out", "str", None, "per-run predictions JSONL"),
+        _OUT,
+    ]),
+    "zeroshot": (_cmd_zeroshot, [
+        Opt("ckpt", "str", required=True, help="pretrained checkpoint"),
+        Opt("test", "str", required=True, help="test dataset"),
+        _FORMAT,
+        _INVENTORY,
+        *_GROUP_SIZE,
+        Opt("predictions_out", "str", None, "predictions JSONL"),
+        _OUT,
+    ]),
+    "sweep-k": (_cmd_sweep_k, [
+        Opt("train", "str", required=True, help="training dataset"),
+        _FORMAT,
+        _INVENTORY,
+        Opt("dev", "str", None, "explicit dev dataset"),
+        Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent"),
+        Opt("k_values", "intlist", required=True, help="group sizes to sweep, e.g. 2,10,20", low=1),
+        *[o for o in _HYPERPARAMS if o.name != "k"],
+        _SEED,
+        _OUT,
+    ]),
+    "diagnose-topk": (_cmd_diagnose_topk, [
+        Opt("ckpt", "str", required=True, help="trained checkpoint"),
+        Opt("test", "str", required=True, help="test dataset"),
+        _FORMAT,
+        _INVENTORY,
+        *_GROUP_SIZE,
+        Opt("k_top", "int", 5, "filter depth for the miss count", low=1),
+        Opt("predictions_out", "str", None, "predictions JSONL"),
+        _OUT,
+    ]),
 }
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fewintent", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", parser_class=_Parser)
-    for name, opts in _COMMANDS.items():
-        _add_command(subparsers, name, opts, _DISPATCH[name])
+    for name, (func, opts) in _COMMANDS.items():
+        _add_command(subparsers, name, opts, func)
     return parser
 
 
@@ -611,10 +604,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         negative = [s for s in (cfg.get("seed", 0), *cfg.get("seeds", ())) if s < 0]
         if negative:
             raise DataError(f"seeds must be non-negative, got {negative[0]}")
-        if args._command == "synth":
-            check_synthetic_counts(
-                cfg["intents"], cfg["shots"], cfg["noise_tokens"], cfg["test_per_intent"]
-            )
         writer = _Writer(cfg.get("out"))
         try:
             writer.write({"record": "config", "command": args._command, "config": cfg})

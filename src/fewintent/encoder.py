@@ -96,7 +96,7 @@ def build_vocab(corpora: Sequence[Dataset | Iterable[str]], min_count: int = 1) 
 class TokenizedSequence:
     """Token ids plus span bookkeeping for one plan.
 
-    Layout: utterance tokens, then per display slot one SEP followed by the
+    Layout: utterance tokens, then for each group slot in order one SEP and the
     slot's label-surface tokens (a single PLH token for placeholder slots).
     Spans are half-open [start, end) and exclude the SEP markers.
     """
@@ -145,14 +145,13 @@ def lay_out(
     """One plan as token ids, from `plan_word_ids` of a set of plans that holds it."""
     ids = list(word_ids[plan.utterance.text])
     utterance_span = (0, len(ids))
-    intents = tuple(plan.group.slots[i] for i in plan.slot_order)  # display order
     spans = []
-    for intent in intents:
+    for intent in plan.group.slots:
         ids.append(SEP_ID)
         start = len(ids)
         ids += (PLH_ID,) if intent == PLACEHOLDER else word_ids[labels[intent].surface]
         spans.append((start, len(ids)))
-    return TokenizedSequence(tuple(ids), utterance_span, tuple(spans), intents, plan.gold_slot)
+    return TokenizedSequence(tuple(ids), utterance_span, tuple(spans), plan.group.slots, plan.gold_slot)
 
 
 def tokenize(plan: SequencePlan, labels: Sequence[IntentLabel], vocab: Vocabulary) -> TokenizedSequence:

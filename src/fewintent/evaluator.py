@@ -283,7 +283,7 @@ def sweep_table(rows: Sequence[SweepRow]) -> str:
 def check_synthetic_counts(
     n_intents: int, shots: int, noise_tokens: int, test_per_intent: int
 ) -> None:
-    """Raise `DataError` naming the first count `generate_synthetic` cannot use."""
+    """Raise `DataError` naming the first count the synthetic generators cannot use."""
     if n_intents < 2:
         raise DataError(f"need at least 2 intents, got {n_intents}")
     if shots < 1:
@@ -292,6 +292,15 @@ def check_synthetic_counts(
         raise DataError(f"noise_tokens must be >= 0, got {noise_tokens}")
     if test_per_intent < 1:
         raise DataError(f"test_per_intent must be >= 1, got {test_per_intent}")
+
+
+def _noisy_utterance(
+    rng: np.random.Generator, words: list[str], intent_id: int, noise_tokens: int, domain: str
+) -> LabeledUtterance:
+    """`words` plus `noise_tokens` random filler words, in a random order."""
+    words = words + [_FILLERS[int(j)] for j in rng.integers(0, len(_FILLERS), size=noise_tokens)]
+    order = rng.permutation(len(words))
+    return LabeledUtterance(" ".join(words[j] for j in order), intent_id, domain=domain)
 
 
 def generate_synthetic(
@@ -309,14 +318,14 @@ def generate_synthetic(
         IntentLabel(i, f"topic {i}-a {i}-b", f"topic {i}-a {i}-b") for i in range(n_intents)
     )
 
-    def utterance(i: int) -> LabeledUtterance:
-        words = ["topic", f"{i}-a", f"{i}-b"]
-        words += [_FILLERS[int(j)] for j in rng.integers(0, len(_FILLERS), size=noise_tokens)]
-        order = rng.permutation(len(words))
-        return LabeledUtterance(" ".join(words[j] for j in order), i, domain="synthetic")
+    def utterances(per_intent: int) -> tuple[LabeledUtterance, ...]:
+        return tuple(
+            _noisy_utterance(rng, ["topic", f"{i}-a", f"{i}-b"], i, noise_tokens, "synthetic")
+            for i in range(n_intents) for _ in range(per_intent)
+        )
 
-    train_ex = tuple(utterance(i) for i in range(n_intents) for _ in range(shots))
-    test_ex = tuple(utterance(i) for i in range(n_intents) for _ in range(test_per_intent))
+    train_ex = utterances(shots)
+    test_ex = utterances(test_per_intent)
     return (
         Dataset(labels, train_ex, name=f"synth{n_intents}-train"),
         Dataset(labels, test_ex, name=f"synth{n_intents}-test"),
@@ -333,20 +342,25 @@ def generate_paraphrase_corpus(
 
     Concept c surfaces as "alpha{c}" on one side and "beta{c}" on the other, so
     a pair's two sides share meaning but zero tokens. An initial deterministic
-    block covers every concept; the rest are random distinct concept tuples.
+    block covers every concept; the rest are random distinct concept tuples,
+    drawn sorted. Asking for more pairs than the block plus the sorted tuples
+    not already in it is a `DataError`.
     """
+    if concepts_per_sentence < 1:
+        raise DataError(f"concepts_per_sentence must be >= 1, got {concepts_per_sentence}")
     if n_concepts < concepts_per_sentence:
         raise DataError("need at least concepts_per_sentence concepts")
+    block = [
+        tuple((start + j) % n_concepts for j in range(concepts_per_sentence))
+        for start in range(0, n_concepts, concepts_per_sentence)
+    ]  # distinct: their first concepts differ
+    capacity = len(block) + math.comb(n_concepts, concepts_per_sentence)
+    capacity -= sum(chunk == tuple(sorted(chunk)) for chunk in block)
+    if n_pairs > capacity:
+        raise DataError(f"these concepts make at most {capacity} distinct pairs, asked for {n_pairs}")
     rng = np.random.default_rng(seed)
-    tuples: list[tuple[int, ...]] = []
-    seen = set()
-    cursor = 0
-    while len(tuples) < n_pairs and cursor < n_concepts:
-        chunk = tuple((cursor + j) % n_concepts for j in range(concepts_per_sentence))
-        cursor += concepts_per_sentence
-        if chunk not in seen:
-            seen.add(chunk)
-            tuples.append(chunk)
+    tuples = block[: max(n_pairs, 0)]
+    seen = set(tuples)
     while len(tuples) < n_pairs:
         chunk = tuple(sorted(int(c) for c in rng.choice(n_concepts, size=concepts_per_sentence, replace=False)))
         if chunk in seen:
@@ -374,22 +388,14 @@ def generate_transfer_task(
     utterances use the alpha forms, so labels and utterances share no tokens:
     only a model that has aligned the two forms can beat chance.
     """
-    if n_intents < 2:
-        raise DataError(f"need at least 2 intents, got {n_intents}")
-    if test_per_intent < 1:
-        raise DataError(f"test_per_intent must be >= 1, got {test_per_intent}")
+    check_synthetic_counts(n_intents, 1, noise_tokens, test_per_intent)
     rng = np.random.default_rng(seed)
     labels = tuple(
         IntentLabel(i, f"beta{2 * i} beta{2 * i + 1}", f"beta{2 * i} beta{2 * i + 1}")
         for i in range(n_intents)
     )
-    examples = []
-    for i in range(n_intents):
-        for _ in range(test_per_intent):
-            words = [f"alpha{2 * i}", f"alpha{2 * i + 1}"]
-            words += [_FILLERS[int(j)] for j in rng.integers(0, len(_FILLERS), size=noise_tokens)]
-            order = rng.permutation(len(words))
-            examples.append(
-                LabeledUtterance(" ".join(words[j] for j in order), i, domain="transfer")
-            )
-    return Dataset(labels, tuple(examples), name=f"transfer{n_intents}")
+    examples = tuple(
+        _noisy_utterance(rng, [f"alpha{2 * i}", f"alpha{2 * i + 1}"], i, noise_tokens, "transfer")
+        for i in range(n_intents) for _ in range(test_per_intent)
+    )
+    return Dataset(labels, examples, name=f"transfer{n_intents}")

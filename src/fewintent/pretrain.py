@@ -248,14 +248,10 @@ def pairs_from_tsv(path: str | Path) -> list[ParaphrasePair]:
 
 def plan_record(plan: SequencePlan, labels: Sequence[IntentLabel]) -> dict:
     """JSON-serializable audit record for one plan."""
-    slots = []
-    for pos in range(plan.group.k):
-        intent = plan.intent_at(pos)
-        slots.append(None if intent == PLACEHOLDER else labels[intent].surface)
     return {
         "text": plan.utterance.text,
         "group": plan.group.index,
-        "slots": slots,
+        "slots": [None if i == PLACEHOLDER else labels[i].surface for i in plan.group.slots],
         "gold_slot": plan.gold_slot,
     }
 

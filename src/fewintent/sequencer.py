@@ -1,6 +1,7 @@
 """Candidate-slate construction: pick a group size k, partition the intent
 inventory into m = ceil(n/k) groups padded with placeholder slots, plan one
-sequence per (utterance, group), and generate shuffle augmentations."""
+sequence per (utterance, group), and generate shuffle augmentations, each a
+plan over a group whose slots are permuted."""
 
 from __future__ import annotations
 
@@ -31,21 +32,14 @@ class IntentGroup:
 
 @dataclass(frozen=True)
 class SequencePlan:
-    """One utterance paired with one group, in a specific slot display order.
-
-    ``slot_order[p]`` is the group slot shown at display position p, so the
-    intent at position p is ``group.slots[slot_order[p]]``. ``gold_slot`` is
-    the display position of the utterance's own intent, when present.
+    """One utterance paired with one group; the sequence shows ``group.slots``
+    in order. ``gold_slot`` is the slot index of the utterance's own intent,
+    or None when the group does not hold it.
     """
 
     utterance: LabeledUtterance
     group: IntentGroup
-    slot_order: tuple[int, ...]
-    has_gold: bool
     gold_slot: int | None
-
-    def intent_at(self, position: int) -> int:
-        return self.group.slots[self.slot_order[position]]
 
 
 def choose_k(n: int, k_min: int, k_max: int) -> int:
@@ -85,32 +79,26 @@ def partition_intents(labels: Sequence[IntentLabel], k: int) -> list[IntentGroup
 
 def build_plans(u: LabeledUtterance, groups: Sequence[IntentGroup]) -> list[SequencePlan]:
     """Duplicate the utterance across all m groups; exactly one plan holds its gold."""
-    plans = []
-    gold_seen = False
-    for group in groups:
-        identity = tuple(range(group.k))
-        if u.intent_id in group.slots:
-            gold_slot = group.slots.index(u.intent_id)
-            plans.append(SequencePlan(u, group, identity, True, gold_slot))
-            gold_seen = True
-        else:
-            plans.append(SequencePlan(u, group, identity, False, None))
-    if not gold_seen:
+    plans = [
+        SequencePlan(u, g, g.slots.index(u.intent_id) if u.intent_id in g.slots else None)
+        for g in groups
+    ]
+    if all(p.gold_slot is None for p in plans):
         raise DataError(f"intent id {u.intent_id} absent from every group")
     return plans
 
 
 def inference_plan(text: str, group: IntentGroup) -> SequencePlan:
     """Plan for scoring an unlabeled utterance against one group."""
-    u = LabeledUtterance(text, PLACEHOLDER)
-    return SequencePlan(u, group, tuple(range(group.k)), False, None)
+    return SequencePlan(LabeledUtterance(text, PLACEHOLDER), group, None)
 
 
 def augment_shuffles(plan: SequencePlan, count: int | None = None, seed: int = 0) -> list[SequencePlan]:
-    """Generate `count` copies of the plan under fresh uniform slot permutations.
+    """Generate `count` copies of the plan, each over the plan's group with its
+    slots under a fresh uniform permutation.
 
-    Placeholders are permuted along with the real slots and the gold display
-    position is re-derived. Defaults to k copies.
+    Placeholders are permuted along with the real slots and the gold slot is
+    re-derived. Defaults to k copies.
     """
     k = plan.group.k
     if count is None:
@@ -120,10 +108,7 @@ def augment_shuffles(plan: SequencePlan, count: int | None = None, seed: int = 0
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
-        order = tuple(int(i) for i in rng.permutation(k))
-        gold_slot = None
-        if plan.has_gold:
-            gold_in_group = plan.group.slots.index(plan.utterance.intent_id)
-            gold_slot = order.index(gold_in_group)
-        out.append(SequencePlan(plan.utterance, plan.group, order, plan.has_gold, gold_slot))
+        group = IntentGroup(plan.group.index, tuple(plan.group.slots[i] for i in rng.permutation(k)))
+        gold_slot = None if plan.gold_slot is None else group.slots.index(plan.utterance.intent_id)
+        out.append(SequencePlan(plan.utterance, group, gold_slot))
     return out

@@ -443,6 +443,37 @@ class TestExitCodes:
         assert not (tmp_path / "s.jsonl").exists()
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["sweep-k", "--train", "data/train.jsonl", "--k-values", "2,0", "--k-min", "2",
+              *TINY], "k_values"),
+            (["diagnose-topk", "--ckpt", "m.ckpt", "--test", "data/test.jsonl", "--k", "4",
+              "--k-top", "0"], "k_top"),
+            (["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl", "--shots", "0",
+              "--k", "4", *TINY], "shots"),
+            (["pretrain-para", "--pairs", "pairs.tsv", "--n-target", "3", "--k-min", "2",
+              "--max-words", "0", *TINY], "max_words"),
+            (["pretrain-para", "--pairs", "pairs.tsv", "--n-target", "3", "--k-min", "2",
+              "--max-chars", "0", *TINY], "max_chars"),
+        ],
+        ids=["sweep-k-values", "diagnose-k-top", "eval-shots", "para-max-words", "para-max-chars"],
+    )
+    def test_count_below_bound_is_2_before_output(self, synth_dir, args, field):
+        from fewintent.corpus import load_dataset
+        from fewintent.encoder import build_vocab, init_params
+        from fewintent.trainer import save_checkpoint
+
+        vocab = build_vocab([load_dataset(synth_dir / "data/train.jsonl", "jsonl")])
+        save_checkpoint(init_params(len(vocab), 8, 8, 8), vocab, synth_dir / "m.ckpt")
+        lines = [f"alpha{c} gamma\tbeta{c} delta" for c in range(6)]
+        (synth_dir / "pairs.tsv").write_text("\n".join(lines) + "\n")
+        out = run_cli([*args, "--out", "m.jsonl"], cwd=synth_dir)
+        assert out.returncode == 2
+        assert "data error" in out.stderr and field in out.stderr
+        assert "Traceback" not in out.stderr
+        assert not (synth_dir / "m.jsonl").exists()
+
     def test_help_is_0(self, tmp_path):
         out = run_cli(["--help"], cwd=tmp_path)
         assert out.returncode == 0
@@ -461,6 +492,16 @@ class TestConfigMerge:
         cfg = records(synth_dir / "t.jsonl")[0]["config"]
         assert cfg["epochs"] == 2  # flag wins
         assert cfg["k"] == 4  # file applies
+
+
+    def test_hyperparam_defaults_match_train_config(self):
+        from fewintent import cli
+        from fewintent.trainer import TrainConfig
+
+        defaults = TrainConfig()
+        for opt in cli._HYPERPARAMS:
+            field = "shuffles_per_sequence" if opt.name == "shuffles" else opt.name
+            assert opt.default == getattr(defaults, field), opt.name
 
 
 class TestDeterminism:

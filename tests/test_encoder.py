@@ -45,7 +45,7 @@ def freeze_card_setup():
     data = Dataset(labels, (LabeledUtterance("freeze card", 0),), name="mini")
     vocab = build_vocab([data])
     group = IntentGroup(0, (0, PLACEHOLDER))
-    plan = SequencePlan(data.examples[0], group, (0, 1), True, 0)
+    plan = SequencePlan(data.examples[0], group, 0)
     return data, vocab, plan
 
 
@@ -94,7 +94,7 @@ class TestTokenize:
 
     def test_oov_maps_to_unk(self):
         data, vocab, plan = freeze_card_setup()
-        odd = SequencePlan(LabeledUtterance("zzz card", 0), plan.group, (0, 1), True, 0)
+        odd = SequencePlan(LabeledUtterance("zzz card", 0), plan.group, 0)
         seq = tokenize(odd, data.labels, vocab)
         assert seq.token_ids[0] == UNK_ID
 
@@ -128,7 +128,7 @@ class TestTokenize:
 
     def test_empty_utterance_raises(self):
         data, vocab, plan = freeze_card_setup()
-        bad = SequencePlan(LabeledUtterance("...", 0), plan.group, (0, 1), True, 0)
+        bad = SequencePlan(LabeledUtterance("...", 0), plan.group, 0)
         with pytest.raises(DataError):
             tokenize(bad, data.labels, vocab)
 
@@ -248,7 +248,7 @@ class TestGradCheck:
         # No candidate terms anywhere: the loss is constant zero.
         vocab, _ = small_batch()
         group = IntentGroup(0, (PLACEHOLDER, PLACEHOLDER))
-        plan = SequencePlan(LabeledUtterance("hello w0", PLACEHOLDER), group, (0, 1), False, None)
+        plan = SequencePlan(LabeledUtterance("hello w0", PLACEHOLDER), group, None)
         seq = tokenize(plan, (), vocab)
         params = init_params(len(vocab), 8, 8, 8, seed=2)
         loss, grads = loss_and_param_grads(params, [seq], LossConfig(tau=0.1))

@@ -346,6 +346,26 @@ class TestTransferGenerators:
         with pytest.raises(DataError):
             generate_transfer_task(5, seed=1, test_per_intent=0)
 
+    def test_task_rejects_negative_noise_tokens(self):
+        with pytest.raises(DataError, match="noise_tokens"):
+            generate_transfer_task(5, seed=1, noise_tokens=-1)
+
+    @pytest.mark.parametrize("n_concepts", range(1, 9))
+    def test_paraphrase_capacity_is_exact(self, n_concepts):
+        from itertools import combinations
+
+        for c in range(1, n_concepts + 1):
+            block = {tuple((s + j) % n_concepts for j in range(c)) for s in range(0, n_concepts, c)}
+            capacity = len(block | set(combinations(range(n_concepts), c)))
+            pairs = generate_paraphrase_corpus(capacity, n_concepts, seed=0, concepts_per_sentence=c)
+            assert len(set(pairs)) == capacity
+            with pytest.raises(DataError):
+                generate_paraphrase_corpus(capacity + 1, n_concepts, seed=0, concepts_per_sentence=c)
+
+    def test_paraphrase_needs_a_concept_per_sentence(self):
+        with pytest.raises(DataError):
+            generate_paraphrase_corpus(2, 4, seed=0, concepts_per_sentence=0)
+
 
 def test_report_serialization_round_trip():
     report = EvalReport([50.0, 60.0], 55.0, 5.0, {0: 50.0}, [1, 2])

@@ -215,7 +215,7 @@ class TestBuildParaphraseInstances:
         for task in tasks:
             assert task.instance.t == 76
             assert len(task.plans) == 3
-            assert sum(p.has_gold for p in task.plans) == 1
+            assert sum(p.gold_slot is not None for p in task.plans) == 1
 
     def test_two_pairs_three_candidates(self):
         pairs = [
@@ -299,7 +299,7 @@ class TestBuildOodPretrain:
         m = math.ceil(11 / 4)
         for item in items:
             assert len(item.plans) == m
-            assert sum(p.has_gold for p in item.plans) == 1
+            assert sum(p.gold_slot is not None for p in item.plans) == 1
 
 
 class TestPairsFromTsv:

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fewintent.corpus import IntentLabel, LabeledUtterance
+from fewintent.encoder import build_vocab, tokenize
 from fewintent.errors import DataError
 from fewintent.sequencer import (
     PLACEHOLDER,
@@ -95,14 +97,15 @@ class TestBuildPlans:
         groups = partition_intents(data.labels, 2)
         plans = build_plans(data.examples[2], groups)
         assert len(plans) == 3
-        assert [p.has_gold for p in plans] == [False, True, False]
+        assert [p.gold_slot is not None for p in plans] == [False, True, False]
         assert plans[1].gold_slot == 0
+        assert [p.group for p in plans] == groups
 
     def test_single_group(self):
         data = make_dataset(n_intents=3, per_intent=1)
         groups = partition_intents(data.labels, 3)
         plans = build_plans(data.examples[0], groups)
-        assert len(plans) == 1 and plans[0].has_gold
+        assert len(plans) == 1 and plans[0].gold_slot == 0
 
     def test_gold_before_placeholder(self):
         data = make_dataset(n_intents=3, per_intent=1)
@@ -126,24 +129,24 @@ class TestAugmentShuffles:
         out = augment_shuffles(plan, count=8, seed=3)
         assert len(out) == 8
         for aug in out:
-            assert sorted(aug.slot_order) == [0, 1, 2]
-            assert aug.has_gold
-            assert aug.intent_at(aug.gold_slot) == 4
+            assert aug.group.index == plan.group.index
+            assert sorted(aug.group.slots) == sorted(plan.group.slots)
+            assert aug.gold_slot is not None
+            assert aug.group.slots[aug.gold_slot] == 4
 
     def test_multiset_preserved(self):
         data = make_dataset(n_intents=5, per_intent=1)
         groups = partition_intents(data.labels, 2)
         plan = build_plans(data.examples[4], groups)[2]  # group with a placeholder
         for aug in augment_shuffles(plan, count=10, seed=0):
-            shown = [aug.intent_at(p) for p in range(2)]
-            assert sorted(shown) == sorted(plan.group.slots)
+            assert sorted(aug.group.slots) == sorted(plan.group.slots)
 
     def test_k_one_identity(self):
         labels = (IntentLabel(0, "x", "x"),)
         groups = partition_intents(labels, 1)
         plan = build_plans(LabeledUtterance("hi", 0), groups)[0]
         (aug,) = augment_shuffles(plan, count=1, seed=5)
-        assert aug.slot_order == (0,)
+        assert aug.group == plan.group and aug.gold_slot == 0
 
     def test_deterministic(self):
         data = make_dataset(n_intents=6, per_intent=1)
@@ -151,7 +154,7 @@ class TestAugmentShuffles:
         plan = build_plans(data.examples[0], groups)[0]
         a = augment_shuffles(plan, count=5, seed=11)
         b = augment_shuffles(plan, count=5, seed=11)
-        assert [p.slot_order for p in a] == [p.slot_order for p in b]
+        assert [p.group.slots for p in a] == [p.group.slots for p in b]
 
     def test_default_count_is_k(self):
         data = make_dataset(n_intents=6, per_intent=1)
@@ -159,9 +162,24 @@ class TestAugmentShuffles:
         plan = build_plans(data.examples[0], groups)[0]
         assert len(augment_shuffles(plan, seed=0)) == 3
 
+    @pytest.mark.parametrize("intent", [1, 4])  # gold in a full group; in the padded one
+    def test_copies_follow_the_seeded_permutations(self, intent):
+        data = make_dataset(n_intents=5, per_intent=1)
+        groups = partition_intents(data.labels, 3)
+        plan = build_plans(data.examples[intent], groups)[intent // 3]
+        vocab = build_vocab([data])
+        rng = np.random.default_rng(7)
+        for aug in augment_shuffles(plan, count=6, seed=7):
+            perm = rng.permutation(3)
+            assert aug.group.slots == tuple(plan.group.slots[i] for i in perm)
+            assert aug.group.index == plan.group.index
+            assert aug.group.slots[aug.gold_slot] == intent
+            assert tokenize(aug, data.labels, vocab).slot_intents == aug.group.slots
+
 
 def test_inference_plan_has_no_gold():
     data = make_dataset(n_intents=4, per_intent=1)
     groups = partition_intents(data.labels, 2)
     plan = inference_plan("whatever words", groups[0])
-    assert not plan.has_gold and plan.gold_slot is None
+    assert plan.gold_slot is None and plan.utterance.intent_id == PLACEHOLDER
+    assert plan.group == groups[0]

@@ -31,7 +31,9 @@ from .encoder import (
 from .errors import CheckpointError, DataError, FewIntentError, NumericError
 from .evaluator import (
     EvalReport,
+    LabelIndex,
     Prediction,
+    encode_inventory,
     evaluate_runs,
     generate_paraphrase_corpus,
     generate_synthetic,

@@ -1,10 +1,10 @@
 """Single-binary command line for the full pipeline.
 
 Subcommands: ingest, train, pretrain-ood, pretrain-para, eval, zeroshot,
-sweep-k, diagnose-topk, synth. Options can come from ``--config`` files of
-flat ``key = value`` lines, with flags taking precedence; unknown keys are
-errors. Every run writes JSONL metrics (first record: the fully resolved
-config) and all randomness hangs off a single ``--seed``.
+predict, sweep-k, diagnose-topk, synth. Options can come from ``--config``
+files of flat ``key = value`` lines, with flags taking precedence; unknown
+keys are errors. Every run writes JSONL metrics (first record: the fully
+resolved config) and all randomness hangs off a single ``--seed``.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -16,15 +16,16 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .corpus import Dataset, build_ood, load_dataset, split_dev
-from .encoder import build_vocab
+from .corpus import Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev
+from .encoder import build_vocab, utterance_token_ids
 from .errors import DataError, NumericError
 from .evaluator import (
     evaluate_runs,
     generate_synthetic,
     label_filter_rankings,
+    predict,
     predict_dataset,
     sweep_k,
     sweep_table,
@@ -65,6 +66,7 @@ class Opt:
     help: str = ""
     required: bool = False
     low: int | None = None  # least accepted value, of each entry for a list
+    check: Callable[[object], None] | None = None  # raises on a value the option rejects
 
     @property
     def flag(self) -> str:
@@ -91,8 +93,21 @@ _HYPERPARAMS = [
     Opt("min_count", "int", 1, "vocabulary frequency cutoff"),
 ]
 
+
+def _known_format(value: str) -> None:
+    if value not in ("csv", "jsonl"):
+        raise UsageError(f"unknown format {value!r}")
+
+
+def _split_fraction(value: float) -> None:
+    """A fraction of 0 or less means no dev set; `split_dev` takes one below 1."""
+    if not value < 1:  # NaN too
+        raise DataError(f"dev fraction must be in (0, 1), got {value}")
+
+
 _GROUP_SIZE = [o for o in _HYPERPARAMS if o.name in ("k", "k_min", "k_max")]
-_FORMAT = Opt("format", "str", None, "csv or jsonl; inferred from the extension when omitted")
+_FORMAT = Opt("format", "str", None, "csv or jsonl; inferred from the extension when omitted",
+              check=_known_format)
 _INVENTORY = Opt("inventory", "str", None, "label-inventory sidecar, one raw label per line")
 _OUT = Opt("out", "str", None, "metrics JSONL path (default: stdout)")
 _SEED = Opt("seed", "int", 0, "seed governing all randomness in this run")
@@ -164,7 +179,8 @@ def _resolve(args) -> tuple[dict, set[str]]:
 
     Returns the resolved config plus the set of keys the user set explicitly
     (by flag or file) rather than inheriting a default. A value below its
-    option's `low` is a `DataError`.
+    option's `low` is a `DataError`; a value its option's `check` rejects
+    raises what the check raises.
     """
     schema = {o.name: o for o in args._opts}
     from_file = _read_config_file(args.config, schema) if args.config else {}
@@ -187,6 +203,8 @@ def _resolve(args) -> tuple[dict, set[str]]:
             for v in value if isinstance(value, list) else [value]:
                 if v < opt.low:
                     raise DataError(f"{opt.name} must be >= {opt.low}, got {v}")
+        if opt.check is not None and value is not None:
+            opt.check(value)
     return resolved, explicit
 
 
@@ -199,6 +217,7 @@ class _Writer:
 
     def write(self, record: dict):
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self._fh.flush()  # a record is readable once written, as `predict` answers a stream
 
     def epoch(self, record: dict):
         self.write({"record": "epoch", **record})
@@ -209,9 +228,7 @@ class _Writer:
 
 
 def _infer_format(path: str, explicit: str | None) -> str:
-    if explicit:
-        if explicit not in ("csv", "jsonl"):
-            raise UsageError(f"unknown format {explicit!r}")
+    if explicit:  # checked by `_known_format`
         return explicit
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
@@ -278,7 +295,12 @@ def _write_dataset_jsonl(data: Dataset, path: Path):
             fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _write_predictions(path: str, data: Dataset, runs, top: int = 5):
+def _top(labels, ranking, top: int = 5) -> list[dict]:
+    """The first `top` entries of a ranking, each intent by its raw name."""
+    return [{"intent": labels[iid].raw_name, "score": score} for iid, score in ranking[:top]]
+
+
+def _write_predictions(path: str, data: Dataset, runs):
     """One record per run and test utterance; `runs` pairs each run's seed
     (None for a single unseeded run) with its predictions."""
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
@@ -287,10 +309,7 @@ def _write_predictions(path: str, data: Dataset, runs, top: int = 5):
                 rec = {
                     "utterance": ex.text,
                     "gold": data.labels[ex.intent_id].raw_name,
-                    "top": [
-                        {"intent": data.labels[iid].raw_name, "score": score}
-                        for iid, score in pred.ranking[:top]
-                    ],
+                    "top": _top(data.labels, pred.ranking),
                 }
                 if seed is not None:
                     rec["seed"] = seed
@@ -443,6 +462,36 @@ def _cmd_zeroshot(cfg: dict, explicit: set[str], writer: _Writer):
         _write_predictions(cfg["predictions_out"], test_data, [(None, preds)])
 
 
+def _stdin_utterances(vocab) -> Iterator[tuple[int, str]]:
+    """(line number, text) of each JSONL `{"text": ...}` record on stdin;
+    blank lines are skipped. A line that is not such a record, or whose
+    text has no tokens, is a DataError naming the line."""
+    for lineno, raw in enumerate(sys.stdin.buffer, start=1):
+        if not raw.strip():
+            continue
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"line {lineno}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        rec = json_line(line, f"line {lineno}")
+        if not isinstance(rec, dict) or not isinstance(rec.get("text"), str):
+            raise DataError(f"line {lineno}: record needs a string 'text' field")
+        try:
+            utterance_token_ids(rec["text"], vocab)
+        except DataError as exc:
+            raise DataError(f"line {lineno}: {exc}") from None
+        yield lineno, rec["text"]
+
+
+def _cmd_predict(cfg: dict, explicit: set[str], writer: _Writer):
+    params, vocab = load_checkpoint(cfg["ckpt"])
+    labels = inventory_labels(cfg["inventory"])
+    k = _train_config(cfg).group_size(len(labels))
+    for lineno, text in _stdin_utterances(vocab):
+        ranking = predict(params, vocab, text, labels, k).ranking
+        writer.write({"record": "prediction", "line": lineno, "top": _top(labels, ranking)})
+
+
 def _cmd_sweep_k(cfg: dict, explicit: set[str], writer: _Writer):
     data = _load(cfg["train"], cfg)
     train_data, dev_data = _split(data, cfg)
@@ -502,7 +551,8 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _FORMAT,
         _INVENTORY,
         Opt("dev", "str", None, "explicit dev dataset"),
-        Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent; 0 disables"),
+        Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent; 0 disables",
+            check=_split_fraction),
         *_HYPERPARAMS,
         Opt("init", "str", None, "warm-start checkpoint"),
         Opt("ckpt", "str", None, "where to save the trained checkpoint"),
@@ -514,7 +564,8 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         Opt("others", "strlist", required=True, help="comma-separated source datasets"),
         _FORMAT,
         Opt("exclude_domains", "strlist", [], "domains dropped from the sources"),
-        Opt("dev_fraction", "float", 0.1, "dev split of the pooled data; 0 disables"),
+        Opt("dev_fraction", "float", 0.1, "dev split of the pooled data; 0 disables",
+            check=_split_fraction),
         *_pretrain_hyperparams(),
         Opt("ckpt", "str", None, "where to save the pretrained checkpoint"),
         Opt("plans_out", "str", None, "audit JSONL of the generated plans"),
@@ -541,7 +592,8 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _INVENTORY,
         Opt("shots", "int", required=True, help="examples sampled per intent per run", low=1),
         Opt("seeds", "intlist", [0, 1, 2], "one run per seed"),
-        Opt("dev_fraction", "float", 0.1, "dev split of each few-shot sample"),
+        Opt("dev_fraction", "float", 0.1, "dev split of each few-shot sample",
+            check=_split_fraction),
         *_HYPERPARAMS,
         Opt("init", "str", None, "warm-start checkpoint for every run"),
         Opt("predictions_out", "str", None, "per-run predictions JSONL"),
@@ -556,12 +608,19 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         Opt("predictions_out", "str", None, "predictions JSONL"),
         _OUT,
     ]),
+    "predict": (_cmd_predict, [
+        Opt("ckpt", "str", required=True, help="trained checkpoint"),
+        Opt("inventory", "str", required=True, help="label inventory, one raw label per line"),
+        *_GROUP_SIZE,
+        _OUT,
+    ]),
     "sweep-k": (_cmd_sweep_k, [
         Opt("train", "str", required=True, help="training dataset"),
         _FORMAT,
         _INVENTORY,
         Opt("dev", "str", None, "explicit dev dataset"),
-        Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent"),
+        Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent",
+            check=_split_fraction),
         Opt("k_values", "intlist", required=True, help="group sizes to sweep, e.g. 2,10,20", low=1),
         *[o for o in _HYPERPARAMS if o.name != "k"],
         _SEED,

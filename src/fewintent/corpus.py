@@ -95,16 +95,25 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
     return DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
-def _read_inventory(path: Path) -> list[str]:
+def inventory_labels(path: str | Path) -> tuple[IntentLabel, ...]:
+    """The intents of a label-inventory sidecar (one raw label per line), in
+    file order; raw names that normalize to one surface are one intent,
+    named by the first."""
+    path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
-    names = [line.strip() for line in text.splitlines()]
-    names = [n for n in names if n]
-    if not names:
+    labels: list[IntentLabel] = []
+    seen: set[str] = set()
+    for raw in filter(None, (line.strip() for line in text.splitlines())):
+        surface = normalize_label(raw)
+        if surface not in seen:
+            seen.add(surface)
+            labels.append(IntentLabel(len(labels), raw, surface))
+    if not labels:
         raise DataError(f"label inventory {path} is empty")
-    return names
+    return tuple(labels)
 
 
 def checked_decode(path: Path, rows: Iterable) -> Iterable:
@@ -143,17 +152,23 @@ def _rows_from_csv(path: Path) -> Iterable[tuple[int, str, str, str | None]]:
             yield lineno, row[0], row[1], None
 
 
+def json_line(line: str, where: str):
+    """The JSON value of one line of a JSONL stream; malformed JSON, or JSON
+    nested past the recursion limit, is a DataError naming `where`."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{where}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise DataError(f"{where}: invalid JSON (nested too deeply)") from None
+
+
 def _rows_from_jsonl(path: Path) -> Iterable[tuple[int, str, str, str | None]]:
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from None
-            except RecursionError:
-                raise DataError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
+            rec = json_line(line, f"{path}:{lineno}")
             if not isinstance(rec, dict) or "text" not in rec or "label" not in rec:
                 raise DataError(f"{path}:{lineno}: record needs 'text' and 'label' fields")
             text, label, domain = rec["text"], rec["label"], rec.get("domain")
@@ -183,15 +198,9 @@ def load_dataset(
     else:
         raise DataError(f"unknown dataset format {format!r} (expected csv or jsonl)")
 
-    surface_to_id: dict[str, int] = {}
-    labels: list[IntentLabel] = []
     fixed_inventory = inventory is not None
-    if fixed_inventory:
-        for raw in _read_inventory(Path(inventory)):
-            surface = normalize_label(raw)
-            if surface not in surface_to_id:
-                surface_to_id[surface] = len(labels)
-                labels.append(IntentLabel(len(labels), raw, surface))
+    labels = list(inventory_labels(inventory)) if fixed_inventory else []
+    surface_to_id = {lab.surface: lab.id for lab in labels}
 
     examples: list[LabeledUtterance] = []
     for lineno, text, raw_label, domain in checked_decode(path, rows):

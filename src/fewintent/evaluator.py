@@ -27,22 +27,19 @@ _FILLERS = (
 )
 
 
+Ranking = tuple[tuple[int, float], ...]  # (intent_id, score), scores non-increasing
+
+
 @dataclass(frozen=True)
 class Prediction:
     """Full ranking of the intent inventory for one utterance."""
 
     utterance_id: int
-    ranking: tuple[tuple[int, float], ...]  # (intent_id, score), scores non-increasing
+    ranking: Ranking
 
     @property
     def predicted(self) -> int:
         return self.ranking[0][0]
-
-    def rank_of(self, intent_id: int) -> int:
-        for r, (iid, _) in enumerate(self.ranking):
-            if iid == intent_id:
-                return r
-        raise DataError(f"intent {intent_id} missing from ranking")
 
 
 @dataclass
@@ -87,10 +84,16 @@ def predict(
     enter the ranking. With attention, the utterance attends over its group,
     so it is encoded with each group. Without attention, a label's
     representation depends on neither the utterance nor the rest of its
-    group, so each label span is encoded once on its own, and
-    `predict_dataset` scores every utterance against the same label rows.
+    group, so the utterance is ranked by the `LabelIndex` of the last
+    inventory scored, reused while the parameter values its label rows were
+    computed from are unchanged (see `_indexed`).
     """
-    return Prediction(utterance_id, _rankings(params, vocab, [text], labels, k)[0])
+    if params.has_attention:
+        ranking = _rankings(params, vocab, [text], labels, k)[0]
+    else:
+        partition_intents(labels, k)  # the checks of k and the inventory `_rankings` makes
+        ranking = _indexed(params, vocab, labels).rank(params, [text])[0]
+    return Prediction(utterance_id, ranking)
 
 
 def top1_accuracy(preds: Sequence[Prediction], data: Dataset) -> float:
@@ -108,9 +111,19 @@ def dataset_accuracy(params: ModelParams, vocab: Vocabulary, data: Dataset, k: i
 
 def predict_dataset(params: ModelParams, vocab: Vocabulary, data: Dataset, k: int) -> list[Prediction]:
     """`predict` for every example; without attention the labels are
-    tokenized and encoded once for the whole dataset."""
+    encoded once for the whole dataset."""
     texts = [ex.text for ex in data.examples]
     return [Prediction(i, r) for i, r in enumerate(_rankings(params, vocab, texts, data.labels, k))]
+
+
+def _ranked(ids: np.ndarray, scores: np.ndarray) -> list[Ranking]:
+    """Each row of `scores` (inventory order) as a ranking: by score
+    descending, then intent id ascending."""
+    rankings = []
+    for row in scores:
+        order = np.lexsort((ids, -row))
+        rankings.append(tuple(zip(ids[order].tolist(), row[order].tolist())))
+    return rankings
 
 
 def _rankings(
@@ -119,21 +132,15 @@ def _rankings(
     texts: Sequence[str],
     labels: Sequence[IntentLabel],
     k: int,
-) -> list[tuple[tuple[int, float], ...]]:
+) -> list[Ranking]:
     """The `predict` ranking of each of `texts`."""
     groups = partition_intents(labels, k)  # checks k and the inventory on both paths
     if not texts:
         return []
-    if params.has_attention:
-        scores = np.array([_grouped_scores(params, vocab, text, labels, groups) for text in texts])
-    else:
-        scores = _label_once_scores(params, vocab, texts, labels)
-    ids = np.array([lab.id for lab in labels])
-    rankings = []
-    for row in scores:  # by score descending, then intent id ascending
-        order = np.lexsort((ids, -row))
-        rankings.append(tuple(zip(ids[order].tolist(), row[order].tolist())))
-    return rankings
+    if not params.has_attention:
+        return encode_inventory(params, vocab, labels).rank(params, texts)
+    scores = np.array([_grouped_scores(params, vocab, text, labels, groups) for text in texts])
+    return _ranked(np.array([lab.id for lab in labels]), scores)
 
 
 def _grouped_scores(params, vocab, text, labels, groups) -> np.ndarray:
@@ -146,16 +153,99 @@ def _grouped_scores(params, vocab, text, labels, groups) -> np.ndarray:
     return np.concatenate(scores)
 
 
-def _label_once_scores(params, vocab, texts, labels) -> np.ndarray:
-    """Each utterance's row of scores in inventory order, for a model without
-    attention: every label span and every utterance is encoded once on its
-    own, which gives each the bits a sequence gives it. The labels are laid
-    out as one all-label plan, so `tokenize` checks them as the grouped path
-    does."""
-    seq = tokenize(inference_plan(texts[0], partition_intents(labels, len(labels))[0]), labels, vocab)
-    label_spans = [list(seq.token_ids[s:e]) for s, e in seq.slot_spans]
-    utterance_spans = [utterance_token_ids(text, vocab) for text in texts]
-    return cosine_sim(encode_spans(params, utterance_spans), encode_spans(params, label_spans))
+@dataclass(frozen=True, eq=False)
+class LabelIndex:
+    """An inventory's label rows, encoded once for a model without attention.
+
+    Each label span is encoded on its own, which gives it the bits a
+    sequence gives it, so `rank` equals the grouped path bit for bit.
+    """
+
+    vocab: Vocabulary
+    ids: np.ndarray  # intent ids, inventory order
+    rows: np.ndarray  # (labels, d_out) projected label rows, inventory order
+    tokens: np.ndarray  # the distinct label token ids (np.intp) the rows depend on
+
+    def rank(self, params: ModelParams, texts: Sequence[str]) -> list[Ranking]:
+        """The ranking of each of `texts`, each utterance encoded with `params`."""
+        spans = [utterance_token_ids(text, self.vocab) for text in texts]
+        return _ranked(self.ids, cosine_sim(encode_spans(params, spans), self.rows))
+
+
+def encode_inventory(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabel]) -> LabelIndex:
+    """The `LabelIndex` of `labels` under `params`, a model without attention.
+
+    The labels are laid out as one all-label plan, so `tokenize` checks them
+    as the grouped path does: a label list out of id order, or a label
+    without tokens, is a `DataError`. The plan's stand-in utterance is dropped.
+    """
+    if params.has_attention:
+        raise DataError("a label index needs a model without attention")
+    seq = tokenize(inference_plan("labels", partition_intents(labels, len(labels))[0]), labels, vocab)
+    spans = [seq.token_ids[s:e] for s, e in seq.slot_spans]
+    tokens = np.unique(np.concatenate(spans)).astype(np.intp)
+    return LabelIndex(vocab, np.array([lab.id for lab in labels]), encode_spans(params, spans), tokens)
+
+
+@dataclass(frozen=True, eq=False)
+class _Memo:
+    """One published `LabelIndex` with the inputs it was built from: copies
+    of the label tokens' embedding rows and of every projector array. Never
+    mutated once published, and it holds no reference to the parameters."""
+
+    labels: tuple[IntentLabel, ...]
+    embedding_rows: np.ndarray
+    projector: tuple[np.ndarray, ...]
+    index: LabelIndex
+
+    def serves(self, params: ModelParams, vocab: Vocabulary, labels: tuple[IntentLabel, ...]) -> bool:
+        """Whether `index` is what `encode_inventory(params, vocab, labels)` gives."""
+        if not (self.labels is labels or self.labels == labels):
+            return False
+        if not (self.index.vocab is vocab or self.index.vocab == vocab):
+            return False
+        current = (params.embedding[self.index.tokens], *_projector(params))
+        return len(current) == 1 + len(self.projector) and all(
+            map(_same_bits, current, (self.embedding_rows, *self.projector))
+        )
+
+
+def _projector(params: ModelParams) -> list[np.ndarray]:
+    return [*params.proj_weights, *params.proj_biases]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+_memo: _Memo | None = None  # the last inventory `predict` scored without attention
+
+
+def _indexed(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabel]) -> LabelIndex:
+    """`encode_inventory(params, vocab, labels)`, from the one-entry memo when
+    its label rows were computed from the values `params` holds now.
+
+    Nothing is keyed on the `ModelParams` object, which training mutates in
+    place: every call compares the label tokens' embedding rows and every
+    projector array, bit for bit, against the memo's copies. A published
+    entry holds no NaN (its rows would not have been finite), so parameters
+    a NaN entered are encoded again and raise as they would uncached. The
+    entry is read once and replaced whole, so concurrent callers may
+    rebuild it in turn but never mix two models.
+    """
+    global _memo
+    labels = tuple(labels)
+    entry = _memo
+    if entry is None or not entry.serves(params, vocab, labels):
+        index = encode_inventory(params, vocab, labels)
+        entry = _Memo(
+            labels,
+            params.embedding[index.tokens],
+            tuple(np.copy(a) for a in _projector(params)),
+            index,
+        )
+        _memo = entry
+    return entry.index
 
 
 def _per_intent_accuracy(all_preds, all_gold) -> dict[int, float]:

@@ -40,26 +40,28 @@ def restamp_vocab_blob(path, blob):
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def run_python(args, cwd, env=None):
+def run_python(args, cwd, env=None, stdin=None):
     """Run `python *args` in `cwd` against the package copy imported here.
 
     The child's PYTHONPATH starts with the absolute PACKAGE_ROOT, so a relative
     entry such as `PYTHONPATH=src` cannot leave it importing nothing (or another
     copy) once it starts in a different working directory. `env`, a mapping,
-    is merged into the child's environment only.
+    is merged into the child's environment only. `stdin` is the child's
+    standard input; given as bytes, its output is bytes too.
     """
     env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         [PACKAGE_ROOT, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     )
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, capture_output=True, text=True, env=env,
+        [sys.executable, *args], cwd=cwd, capture_output=True, env=env, input=stdin,
+        text=not isinstance(stdin, bytes),
     )
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, stdin=None):
     """Run `python -m fewintent` in `cwd`; see `run_python`."""
-    return run_python(["-m", "fewintent", *args], cwd)
+    return run_python(["-m", "fewintent", *args], cwd, stdin=stdin)
 
 
 @pytest.fixture

@@ -107,6 +107,29 @@ class TestPipeline:
         rec = by_record(synth_dir / "diag.jsonl", "topk_miss")[0]
         assert rec["miss_count"] >= rec["recovered_count"]
 
+    @pytest.mark.parametrize("attention", [[], ["--attention"]], ids=["plain", "attention"])
+    def test_predict_stream_matches_zeroshot(self, synth_dir, attention):
+        write_predict_inputs(synth_dir, attention)
+        out = run_cli(
+            ["zeroshot", "--ckpt", "m.ckpt", "--test", "data/test.jsonl", "--inventory", "inv.txt",
+             "--k", "3", "--k-min", "2", "--out", "zs.jsonl", "--predictions-out", "preds.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 0, out.stderr
+        texts = [{"text": r["text"]} for r in records(synth_dir / "data/test.jsonl")]
+        stdin = "\n".join(json.dumps(t) for t in texts[:8]) + "\n\n" + \
+            "\n".join(json.dumps(t) for t in texts[8:]) + "\n"  # a blank line is skipped
+        out = run_cli(
+            ["predict", "--ckpt", "m.ckpt", "--inventory", "inv.txt", "--k", "3", "--k-min", "2"],
+            cwd=synth_dir, stdin=stdin,
+        )
+        assert out.returncode == 0, out.stderr
+        lines = [json.loads(line) for line in out.stdout.splitlines()]
+        assert lines[0]["record"] == "config" and lines[0]["command"] == "predict"
+        preds = records(synth_dir / "preds.jsonl")
+        assert [p["line"] for p in lines[1:]] == [*range(1, 9), *range(10, len(texts) + 2)]
+        assert [p["top"] for p in lines[1:]] == [p["top"] for p in preds]
+
     def test_sweep_k(self, synth_dir):
         out = run_cli(
             ["sweep-k", "--train", "data/train.jsonl", "--dev-fraction", "0.25",
@@ -215,6 +238,19 @@ class TestPipeline:
         plans = records(tmp_path / "plans.jsonl")
         assert len(plans) == 12 * 2
         assert all(len(p["slots"]) == 2 for p in plans)
+
+
+def write_predict_inputs(synth_dir, extra=()):
+    """Train `m.ckpt` on the synth task and write `inv.txt`, its label
+    inventory in reverse order of first appearance."""
+    out = run_cli(
+        ["train", "--train", "data/train.jsonl", "--k", "3", "--k-min", "2", *TINY, *extra,
+         "--seed", "0", "--ckpt", "m.ckpt", "--out", "train.jsonl"],
+        cwd=synth_dir,
+    )
+    assert out.returncode == 0, out.stderr
+    names = list(dict.fromkeys(r["label"] for r in records(synth_dir / "data/train.jsonl")))
+    (synth_dir / "inv.txt").write_text("\n".join(reversed(names)) + "\n")
 
 
 class TestExitCodes:
@@ -473,6 +509,62 @@ class TestExitCodes:
         assert "data error" in out.stderr and field in out.stderr
         assert "Traceback" not in out.stderr
         assert not (synth_dir / "m.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [
+            (["train", "--train", "data/train.jsonl", "--k", "4", "--dev-fraction", "1"], 2,
+             "data error: dev fraction must be in (0, 1), got 1.0"),
+            (["train", "--train", "data/train.jsonl", "--k", "4", "--dev-fraction", "nan"], 2,
+             "data error: dev fraction must be in (0, 1), got nan"),
+            (["sweep-k", "--train", "data/train.jsonl", "--k-values", "2", "--dev-fraction", "2"], 2,
+             "data error: dev fraction must be in (0, 1), got 2.0"),
+            (["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl", "--shots", "3",
+              "--k", "4", "--dev-fraction", "1"], 2, "data error: dev fraction must be in (0, 1), got 1.0"),
+            (["ingest", "--input", "data/train.jsonl", "--format", "xyz"], 1,
+             "usage error: unknown format 'xyz'"),
+        ],
+        ids=["train-dev-fraction-1", "train-dev-fraction-nan", "sweep-k-dev-fraction",
+             "eval-dev-fraction", "ingest-format"],
+    )
+    def test_bad_option_rejected_before_output(self, synth_dir, args, code, message):
+        out = run_cli([*args, "--out", "m.jsonl"], cwd=synth_dir)
+        assert out.returncode == code
+        assert message in out.stderr and "Traceback" not in out.stderr
+        assert not (synth_dir / "m.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("not json", "line 2: invalid JSON"),
+            ('{"utterance": "topic 0-a"}', "line 2: record needs a string 'text' field"),
+            ('{"text": 7}', "line 2: record needs a string 'text' field"),
+            ('["topic"]', "line 2: record needs a string 'text' field"),
+            ('{"text": "?! ..."}', "line 2: utterance '?! ...' has no tokens"),
+            ("[" * 100000 + "]" * 100000, "line 2: invalid JSON"),
+        ],
+        ids=["not-json", "no-text", "text-not-string", "not-object", "no-tokens", "nested"],
+    )
+    def test_predict_bad_line_is_2(self, synth_dir, line, message):
+        write_predict_inputs(synth_dir)
+        stdin = '{"text": "topic 0-a"}\n' + line + '\n{"text": "topic 1-a"}\n'
+        out = run_cli(
+            ["predict", "--ckpt", "m.ckpt", "--inventory", "inv.txt", "--k", "3", "--k-min", "2",
+             "--out", "p.jsonl"],
+            cwd=synth_dir, stdin=stdin,
+        )
+        assert out.returncode == 2
+        assert f"data error: {message}" in out.stderr and "Traceback" not in out.stderr
+        assert [r["record"] for r in records(synth_dir / "p.jsonl")] == ["config", "prediction"]
+
+    def test_predict_non_utf8_line_is_2(self, synth_dir):
+        write_predict_inputs(synth_dir)
+        out = run_cli(
+            ["predict", "--ckpt", "m.ckpt", "--inventory", "inv.txt", "--k", "3", "--k-min", "2"],
+            cwd=synth_dir, stdin=b'{"text": "topic"}\n\xff\xfe\n',
+        )
+        assert out.returncode == 2
+        assert b"data error: line 2: not UTF-8 text" in out.stderr and b"Traceback" not in out.stderr
 
     def test_help_is_0(self, tmp_path):
         out = run_cli(["--help"], cwd=tmp_path)

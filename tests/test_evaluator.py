@@ -8,10 +8,15 @@ from fewintent.encoder import (
     encode,
     init_params,
     tokenize,
+    utterance_token_ids,
+    word_tokens,
 )
+from fewintent import evaluator
+from fewintent.encoder import Vocabulary
 from fewintent.errors import DataError, NumericError
 from fewintent.evaluator import (
     EvalReport,
+    encode_inventory,
     evaluate_runs,
     generate_paraphrase_corpus,
     generate_synthetic,
@@ -95,7 +100,8 @@ def one_label_task():
 
 class TestAgainstGroupedReference:
     """Without attention the labels are encoded once and every utterance on
-    its own; the rankings must equal the grouped reference bit for bit."""
+    its own; the rankings must equal the grouped reference bit for bit, on
+    a fresh label index and on the one `predict` keeps."""
 
     @pytest.mark.parametrize(
         "n, k, dims, depth",
@@ -124,8 +130,11 @@ class TestAgainstGroupedReference:
         for i, ex in enumerate(data.examples):
             ref = grouped_ranking(params, vocab, ex.text, data.labels, k)
             assert batch[i].ranking == ref
-            online = predict(params, vocab, ex.text, data.labels, k, utterance_id=i)
-            assert online.ranking == ref and online.utterance_id == i
+            for _ in range(2):  # builds or reuses the memo, then reuses it
+                online = predict(params, vocab, ex.text, data.labels, k, utterance_id=i)
+                assert online.ranking == ref and online.utterance_id == i
+                memo = evaluator._memo
+            assert evaluator._memo is memo
 
     def test_long_utterance_among_many(self):
         _, data = generate_synthetic(13, 1, 3, seed=2, test_per_intent=11)
@@ -181,7 +190,8 @@ def _error_cases():
 
 
 class TestErrorParity:
-    """Both prediction paths raise what the grouped reference raises."""
+    """Both prediction paths raise what the grouped reference raises, also
+    after a successful `predict` on the same labels and parameters."""
 
     @pytest.mark.parametrize("mutate, error", _error_cases())
     @pytest.mark.parametrize("attention", [False, True])
@@ -189,6 +199,7 @@ class TestErrorParity:
         pool, _ = generate_synthetic(5, 1, 1, seed=0, test_per_intent=1)
         vocab = build_vocab([pool])
         params = init_params(len(vocab), 8, 8, 8, seed=0, attention=attention)
+        predict(params, vocab, "topic please", pool.labels, 2)
         text, labels, params = mutate(params, pool.labels)
         with pytest.raises(error):
             grouped_ranking(params, vocab, text, labels, 2)
@@ -198,6 +209,104 @@ class TestErrorParity:
             examples = (LabeledUtterance("topic please", 0), LabeledUtterance(text, 1))
             with pytest.raises(error):
                 predict_dataset(params, vocab, Dataset(labels, examples), 2)
+
+
+def _label_input_edits():
+    """In-place edits of values a label row is computed from; `token` is a
+    label token the utterance does not use."""
+    def label_embedding_row(params, token):
+        params.embedding[token] += 0.25
+
+    def projector_weight(params, token):
+        params.proj_weights[0][3] *= -1.0
+
+    def projector_bias(params, token):
+        params.proj_biases[-1][2] = 0.5
+
+    def signed_zero(params, token):  # equal as a float, not as bits
+        params.proj_biases[0][0] = -0.0
+
+    edits = (label_embedding_row, projector_weight, projector_bias, signed_zero)
+    return [pytest.param(edit, id=edit.__name__) for edit in edits]
+
+
+class TestLabelIndexMemo:
+    """`predict` reuses the label index of the last inventory only while the
+    values its label rows were computed from are unchanged."""
+
+    def setup_method(self):
+        _, self.data = generate_synthetic(13, 1, 3, seed=3, test_per_intent=2)
+        self.vocab = build_vocab([self.data])
+        self.params = init_params(len(self.vocab), 16, 16, 16, seed=3)
+        self.text = self.data.examples[5].text
+
+    def check(self, params=None, vocab=None, labels=None, k=4):
+        """Predict, assert the grouped reference's ranking, return the memo."""
+        params, vocab = params or self.params, vocab or self.vocab
+        labels = labels or self.data.labels
+        pred = predict(params, vocab, self.text, labels, k)
+        assert pred.ranking == grouped_ranking(params, vocab, self.text, labels, k)
+        return evaluator._memo
+
+    def label_token(self):
+        """A token id of a label surface that the utterance does not use."""
+        utterance = set(utterance_token_ids(self.text, self.vocab))
+        surface = self.data.labels[0].surface
+        return next(t for t in (self.vocab.id_of(w) for w in word_tokens(surface)) if t not in utterance)
+
+    @pytest.mark.parametrize("edit", _label_input_edits())
+    def test_in_place_edit_of_a_label_input_rebuilds(self, edit):
+        self.params.proj_biases[0][0] = 0.0
+        first = self.check()
+        edit(self.params, self.label_token())
+        assert self.check() is not first
+
+    def test_utterance_row_edit_is_seen_without_a_rebuild(self):
+        first = self.check()
+        labels = {self.vocab.id_of(w) for lab in self.data.labels for w in word_tokens(lab.surface)}
+        only_utterance = next(t for t in utterance_token_ids(self.text, self.vocab) if t not in labels)
+        self.params.embedding[only_utterance] *= -3.0
+        assert self.check() is first
+
+    def test_equal_inputs_hit(self):
+        first = self.check()
+        labels = [IntentLabel(lab.id, lab.raw_name, lab.surface) for lab in self.data.labels]
+        vocab = Vocabulary(tuple(self.vocab.tokens))
+        assert self.check(self.params.copy(), vocab, labels) is first
+        assert self.check(k=13) is first  # k does not enter the label rows
+
+    def test_other_labels_vocab_or_depth_miss(self):
+        first = self.check()
+        fewer = self.data.labels[:12]
+        assert self.check(labels=fewer) not in (None, first)
+        first = self.check()
+        wider = build_vocab([self.data, ["unseen words here"]])
+        params = init_params(len(wider), 16, 16, 16, seed=3)
+        params.embedding[: len(self.vocab)] = self.params.embedding
+        assert self.check(params, wider) is not first
+        first = self.check()
+        deeper = self.params.copy()
+        deeper.proj_weights.append(np.eye(16))
+        deeper.proj_biases.append(np.zeros(16))
+        assert self.check(deeper) is not first
+
+    @pytest.mark.parametrize(
+        "k, labels, match", [(0, None, "group size"), (4, (), "empty inventory")]
+    )
+    def test_group_checks_run_on_a_hit(self, k, labels, match):
+        self.check()
+        with pytest.raises(DataError, match=match):
+            predict(self.params, self.vocab, self.text, self.data.labels if labels is None else labels, k)
+
+    def test_attention_model_never_touches_the_memo(self):
+        first = self.check()
+        params = init_params(len(self.vocab), 16, 16, 16, seed=3, attention=True)
+        assert self.check(params) is first
+
+    def test_encode_inventory_needs_a_plain_model(self):
+        params = init_params(len(self.vocab), 8, 8, 8, seed=0, attention=True)
+        with pytest.raises(DataError, match="without attention"):
+            encode_inventory(params, self.vocab, self.data.labels)
 
 
 class TestEvaluateRuns:

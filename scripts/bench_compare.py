@@ -7,10 +7,13 @@ Each pair runs `python3 perfbench/run.py --workload W --seed N --seconds S
 parent first, odd pairs the change. Every run's environment and result line
 are kept. The summary gives each workload's end-to-end metrics as median,
 quartiles and run count per side, and how many pairs the change won, lost
-and tied by the metric's `better` direction in BENCHMARK.json. A claim
-(`--claim WORKLOAD:METRIC`) is met when the change wins at least nine tenths
-of that workload's pairs and the medians differ by more than the parent's
-interquartile range.
+and tied by the metric's `better` direction in BENCHMARK.json, and whether
+the change's median is worse than the parent's by more than the metric's
+`bound`. A claim (`--claim WORKLOAD:METRIC`) is met when the change wins at
+least nine tenths of that workload's pairs, the medians differ by more than
+the parent's interquartile range, every change run of that workload passed
+its output check, and the change failed no more operations there than the
+parent.
 
     python3 scripts/bench_compare.py --parent ../parent --change . \\
         --label label_index --pairs predict_c150=5 train_b77=3 --seeds 41 42 43 44 45 \\
@@ -38,11 +41,13 @@ def quartiles(values: list[float]) -> dict:
 
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's `quartiles` over its
-    runs, and the change's wins, losses and ties over the pairs, a pair
-    being the two runs of one workload at one seed."""
+    runs, the change's wins, losses and ties over the pairs, a pair being
+    the two runs of one workload at one seed, and `regressed`: whether the
+    change's median is worse than the parent's by more than the metric's
+    relative `bound`."""
     summary: dict = {}
     for spec in end_to_end:
-        name, sign = spec["name"], 1.0 if spec["better"] == "higher" else -1.0
+        name, sign = spec["name"], _sign(spec)
         by_pair: dict = {}
         for run in runs:
             value = run["result"]["metrics"][name]["value"]
@@ -55,18 +60,44 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
             entry["change"].append(sides["change"])
             diff = sign * (sides["change"] - sides["parent"])
             entry["wins" if diff > 0 else "losses" if diff < 0 else "ties"] += 1
+    specs = {spec["name"]: spec for spec in end_to_end}
     for metrics in summary.values():
-        for entry in metrics.values():
+        for name, entry in metrics.items():
             entry["parent"], entry["change"] = quartiles(entry["parent"]), quartiles(entry["change"])
+            parent, change = entry["parent"]["median"], entry["change"]["median"]
+            worse_by = _sign(specs[name]) * (parent - change)
+            entry["regressed"] = worse_by > specs[name]["bound"] * abs(parent)
     return summary
 
 
-def claim(summary: dict, workload: str, metric: str) -> dict:
-    """Whether the change wins at least nine tenths of the pairs and its
-    median differs from the parent's by more than the parent's IQR."""
+def _sign(spec: dict) -> float:
+    """1 when a higher value of the metric is better, -1 when a lower one is."""
+    return 1.0 if spec["better"] == "higher" else -1.0
+
+
+def failed_of_attempted(runs: list[dict]) -> dict:
+    """Per workload and side: [operations failed, operations attempted]."""
+    failures: dict = {}
+    for run in runs:
+        side = failures.setdefault(run["workload"], {}).setdefault(run["side"], [0, 0])
+        side[0] += run["result"]["failed"]
+        side[1] += run["result"]["attempted"]
+    return failures
+
+
+def claim(summary: dict, runs: list[dict], workload: str, metric: str) -> dict:
+    """Whether the change wins at least nine tenths of the pairs, its median
+    differs from the parent's by more than the parent's IQR, every change
+    run of the workload passed its output check, and the change failed no
+    more of the workload's operations than the parent."""
     entry = summary[workload][metric]
     parent, change = entry["parent"], entry["change"]
     pairs = entry["wins"] + entry["losses"] + entry["ties"]
+    failed = {side: n for side, (n, _) in failed_of_attempted(runs)[workload].items()}
+    correct = all(
+        run["result"]["correct"] for run in runs
+        if run["workload"] == workload and run["side"] == "change"
+    )
     return {
         "workload": workload,
         "metric": metric,
@@ -75,8 +106,12 @@ def claim(summary: dict, workload: str, metric: str) -> dict:
         "parent_iqr": parent["q3"] - parent["q1"],
         "wins": entry["wins"],
         "pairs": pairs,
+        "change_correct": correct,
+        "failed": failed,
         "met": entry["wins"] >= 0.9 * pairs
-        and abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"],
+        and abs(change["median"] - parent["median"]) > parent["q3"] - parent["q1"]
+        and correct
+        and failed["change"] <= failed["parent"],
     }
 
 
@@ -126,11 +161,6 @@ def main(argv=None) -> int:
             index += 1
 
     summary = summarize(runs, spec["end_to_end"])
-    failures: dict = {}
-    for run in runs:
-        side = failures.setdefault(run["workload"], {}).setdefault(run["side"], [0, 0])
-        side[0] += run["result"]["failed"]
-        side[1] += run["result"]["attempted"]
     record = {
         "label": args.label,
         "parent": git_sha(args.parent),
@@ -141,8 +171,8 @@ def main(argv=None) -> int:
         "env": env,
         "runs": runs,
         "summary": summary,
-        "failed_of_attempted": failures,
-        "claim": None if args.claim is None else claim(summary, *args.claim.split(":")),
+        "failed_of_attempted": failed_of_attempted(runs),
+        "claim": None if args.claim is None else claim(summary, runs, *args.claim.split(":")),
     }
     path = args.out_dir / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")

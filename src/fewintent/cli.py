@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -676,6 +677,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # The reader of stdout has gone. Send what is still buffered to
+        # devnull, so the interpreter's exit flush stays quiet, and exit as a
+        # process killed by SIGPIPE does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2

@@ -9,6 +9,12 @@ Training runs one batch kernel (`loss_and_param_grads`): one projector pass,
 array loss, backward pass and embedding scatter per batch, with each distinct
 span of an attention-free batch encoded once. Every path pools a span to the
 mean of its token rows with `ndarray.mean`'s bits.
+
+The encoder has no positional signal, so equal tokens in a sequence have
+equal query rows. Attention therefore runs over a sequence's distinct tokens
+as queries and every position as a key and value (`_attended`), in training
+and in `encode` alike. Duplicate keys stay separate columns: merging them
+with a log-count bias would reorder each softmax row's sum.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -303,7 +310,8 @@ def _pool(x: np.ndarray, spans: Sequence[Sequence[int]]) -> np.ndarray:
     for row, span in enumerate(spans):
         by_length.setdefault(len(span), []).append(row)
     for n, rows in by_length.items():
-        out[rows] = x[[spans[r] for r in rows]].sum(axis=1) / n
+        index = np.fromiter(chain.from_iterable([spans[r] for r in rows]), np.intp, len(rows) * n)
+        out[rows] = x[index.reshape(len(rows), n)].sum(axis=1) / n
     return out
 
 
@@ -319,30 +327,46 @@ def _row_sums(index: Sequence[int], values: np.ndarray, n_rows: int) -> np.ndarr
     return np.bincount(flat, weights=values.ravel(), minlength=n_rows * d).reshape(n_rows, d)
 
 
-def _attend(params: ModelParams, x_raw: np.ndarray):
-    """Token rows after the optional attention layer, and its backprop cache."""
+def _attended(params: ModelParams, token_ids: Sequence[int]):
+    """One sequence's distinct token ids (ascending), every position's row
+    after the optional attention layer, and the layer's backprop cache.
+
+    The distinct tokens are the queries and every position is a key and a
+    value, so each softmax row sums the same T columns in the same order as
+    a layer with one query per position.
+    """
+    ids = sorted(set(token_ids))
+    index = dict(zip(ids, range(len(ids))))
+    inverse = np.fromiter(map(index.__getitem__, token_ids), np.intp, len(token_ids))
+    x = params.embedding.take(ids, axis=0)
     if not params.has_attention:
-        return x_raw, None
+        return ids, x.take(inverse, axis=0), None
     scale = 1.0 / np.sqrt(params.d_emb)
-    q = x_raw @ params.attn_q
-    k = x_raw @ params.attn_k
-    v = x_raw @ params.attn_v
+    q = x @ params.attn_q
+    k = (x @ params.attn_k).take(inverse, axis=0)
+    v = (x @ params.attn_v).take(inverse, axis=0)
     att = _softmax_rows((q @ k.T) * scale)
-    return x_raw + att @ v, (x_raw, q, k, v, att, scale)
+    return ids, (x + att @ v).take(inverse, axis=0), (x, inverse, q, k, v, att, scale)
 
 
-def _attend_backward(params: ModelParams, cache, dx: np.ndarray, grads: ModelParams) -> np.ndarray:
-    """Accumulate attention gradients; returns dL/dx_raw from dL/dx."""
-    x_raw, q, k, v, att, scale = cache
-    da = dx @ v.T
-    dv = att.T @ dx
+def _attend_backward(params: ModelParams, cache, dy: np.ndarray, grads: ModelParams) -> np.ndarray:
+    """Accumulate attention gradients; returns dL/dx over the sequence's
+    distinct tokens from dL/dy over its positions."""
+    x, inverse, q, k, v, att, scale = cache
+    # A product with `onehot` sums each distinct token's position rows:
+    # every other position adds an exact zero.
+    onehot = np.zeros((len(x), len(inverse)))
+    onehot[inverse, np.arange(len(inverse))] = 1.0
+    g = onehot @ dy
+    da = g @ v.T
     ds = att * (da - (da * att).sum(axis=1, keepdims=True))
     dq = ds @ k * scale
-    dk = ds.T @ q * scale
-    grads.attn_q += x_raw.T @ dq
-    grads.attn_k += x_raw.T @ dk
-    grads.attn_v += x_raw.T @ dv
-    return dx + (dq @ params.attn_q.T + dk @ params.attn_k.T + dv @ params.attn_v.T)
+    dk = onehot @ (ds.T @ q * scale)
+    dv = onehot @ (att.T @ g)
+    grads.attn_q += x.T @ dq
+    grads.attn_k += x.T @ dk
+    grads.attn_v += x.T @ dv
+    return g + (dq @ params.attn_q.T + dk @ params.attn_k.T + dv @ params.attn_v.T)
 
 
 def _project_backward(params: ModelParams, acts: list[np.ndarray], g: np.ndarray, grads: ModelParams):
@@ -357,15 +381,9 @@ def _project_backward(params: ModelParams, acts: list[np.ndarray], g: np.ndarray
     return g
 
 
-def _pooled(params: ModelParams, seq: TokenizedSequence):
-    """A sequence's pooled span rows, utterance first, and its attention cache."""
-    x, cache = _attend(params, params.embedding[list(seq.token_ids)])
-    return _pool(x, [range(*span) for span in _spans(seq)]), cache
-
-
 def encode(params: ModelParams, seq: TokenizedSequence) -> SequenceEmbeddings:
     """Span mean pooling over token embeddings, then the shared projector."""
-    z, _ = _pooled(params, seq)
+    z = _pool(_attended(params, seq.token_ids)[1], [range(*span) for span in _spans(seq)])
     h = _project(params, z)[1]
     return SequenceEmbeddings(z[0], z[1:], h[0], h[1:], seq.slot_intents, seq.gold_slot)
 
@@ -389,24 +407,25 @@ def loss_and_param_grads(
     alone, so each distinct utterance or label is one row however often it
     recurs (keyed by token ids: an intent id names different labels in
     different inventories). With attention each sequence is attended on its
-    own and keeps its own rows.
+    own, over its distinct tokens, and keeps its own rows.
     """
     if not batch:
         raise DataError("empty batch")
     if params.has_attention:
-        pooled = [_pooled(params, seq) for seq in batch]
-        z = np.concatenate([rows for rows, _ in pooled])
+        attended = [_attended(params, seq.token_ids) for seq in batch]
+        x = np.concatenate([rows for _, rows, _ in attended])
+        starts = np.cumsum([0] + [len(seq.token_ids) for seq in batch]).tolist()
+        spans = [range(start + s, start + e) for seq, start in zip(batch, starts) for s, e in _spans(seq)]
         firsts = np.cumsum([0] + [1 + len(seq.slot_spans) for seq in batch]).tolist()
         span_rows = [range(first, end) for first, end in zip(firsts, firsts[1:])]
-        ids = [t for seq in batch for t in seq.token_ids]
     else:
         row_of: dict[tuple[int, ...], int] = {}
         span_rows = [
             [row_of.setdefault(seq.token_ids[s:e], len(row_of)) for s, e in _spans(seq)]
             for seq in batch
         ]
-        z = _pool(params.embedding, list(row_of))
-        ids = [t for span in row_of for t in span]
+        x, spans = params.embedding, list(row_of)
+    z = _pool(x, spans)
     # Each sequence's utterance row, then its slot rows; a sequence with
     # fewer slots is padded with row 0, which its candidate mask leaves out.
     table = np.zeros((len(batch), max(map(len, span_rows))), dtype=np.intp)
@@ -420,18 +439,21 @@ def loss_and_param_grads(
     grads = params.zeros_like()
     dz = _project_backward(params, acts, _row_sums(table.ravel(), dh, len(h)), grads)
 
+    # Each span entry's share of its row's gradient, and the row of `x` it pooled.
+    lengths = [len(span) for span in spans]
+    dx = np.repeat(dz / np.array(lengths)[:, None], lengths, axis=0)
+    entry_rows = [r for span in spans for r in span]
     if params.has_attention:
-        dxs = []
-        for seq, (_, cache), first in zip(batch, pooled, firsts):
-            dx = np.zeros((len(seq.token_ids), params.d_emb))
-            for row, (s, e) in enumerate(_spans(seq), start=first):
-                dx[s:e] = dz[row] / (e - s)
-            dxs.append(_attend_backward(params, cache, dx, grads))
-        dx = np.concatenate(dxs)
+        dy = np.zeros((len(x), params.d_emb))
+        dy[entry_rows] = dx
+        dx = np.concatenate([
+            _attend_backward(params, cache, dy[start:end], grads)
+            for (_, _, cache), start, end in zip(attended, starts, starts[1:])
+        ])
+        token_ids = [t for distinct_ids, *_ in attended for t in distinct_ids]
     else:
-        lengths = [len(span) for span in row_of]
-        dx = np.repeat(dz / np.array(lengths)[:, None], lengths, axis=0)
-    rows, inverse = np.unique(ids, return_inverse=True)
+        token_ids = entry_rows  # rows of the embedding table
+    rows, inverse = np.unique(token_ids, return_inverse=True)
     grads.embedding[rows] = _row_sums(inverse, dx, len(rows))
     return loss, grads
 

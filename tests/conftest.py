@@ -40,21 +40,26 @@ def restamp_vocab_blob(path, blob):
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
-def run_python(args, cwd, env=None, stdin=None):
-    """Run `python *args` in `cwd` against the package copy imported here.
+def child_env(env=None):
+    """This process's environment with `env` merged in, for a child that
+    imports the package copy imported here.
 
     The child's PYTHONPATH starts with the absolute PACKAGE_ROOT, so a relative
     entry such as `PYTHONPATH=src` cannot leave it importing nothing (or another
-    copy) once it starts in a different working directory. `env`, a mapping,
-    is merged into the child's environment only. `stdin` is the child's
-    standard input; given as bytes, its output is bytes too.
+    copy) once it starts in a different working directory.
     """
     env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(
         [PACKAGE_ROOT, *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))]
     )
+    return env
+
+
+def run_python(args, cwd, env=None, stdin=None):
+    """Run `python *args` in `cwd` with `child_env(env)`. `stdin` is the
+    child's standard input; given as bytes, its output is bytes too."""
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, capture_output=True, env=env, input=stdin,
+        [sys.executable, *args], cwd=cwd, capture_output=True, env=child_env(env), input=stdin,
         text=not isinstance(stdin, bytes),
     )
 

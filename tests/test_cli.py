@@ -1,10 +1,12 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import restamp_vocab_blob, run_cli
+from conftest import child_env, restamp_vocab_blob, run_cli
 
 TINY = ["--d-emb", "8", "--d-hidden", "8", "--d-out", "8", "--epochs", "2"]
 
@@ -565,6 +567,23 @@ class TestExitCodes:
         )
         assert out.returncode == 2
         assert b"data error: line 2: not UTF-8 text" in out.stderr and b"Traceback" not in out.stderr
+
+    def test_predict_reader_gone_is_141(self, synth_dir):
+        # The config record is written before stdin is read, so closing the
+        # read end after one line and only then sending utterances makes the
+        # first prediction's write fail.
+        write_predict_inputs(synth_dir)
+        child = subprocess.Popen(
+            [sys.executable, "-m", "fewintent", "predict", "--ckpt", "m.ckpt",
+             "--inventory", "inv.txt", "--k", "3", "--k-min", "2"],
+            cwd=synth_dir, env=child_env(), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert json.loads(child.stdout.readline())["record"] == "config"
+        child.stdout.close()
+        _, err = child.communicate(b'{"text": "topic 0-a"}\n' * 50, timeout=60)
+        assert child.returncode == 141
+        assert err == b""
 
     def test_help_is_0(self, tmp_path):
         out = run_cli(["--help"], cwd=tmp_path)

@@ -372,6 +372,22 @@ def assert_same_loss_and_grads(params, batch, cfg):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
 
 
+# Sequences with fewer distinct tokens than positions; with attention each
+# distinct token is one query row.
+REPEATED_TOKENS = {
+    "utterance-repeats-a-word": laid_out((5, 5, 5, 7), [(0, (6,)), (1, (8, 9))], 0),
+    "labels-share-every-token": laid_out((4, 7), [(0, (5, 6)), (1, (6, 5)), (2, (5, 6, 6))], 1),
+    # Without separators, so the sequence has one distinct token.
+    "one-distinct-token": TokenizedSequence((5,) * 5, (0, 2), ((2, 3), (3, 5)), (0, 1), 0),
+    "all-placeholders": laid_out((4, 8, 8), [(PLACEHOLDER, ()), (PLACEHOLDER, ())], None),
+}
+REPEATED_CASES = [*REPEATED_TOKENS, "all-in-one-batch"]
+
+
+def repeated_batch(case):
+    return list(REPEATED_TOKENS.values()) if case == "all-in-one-batch" else [REPEATED_TOKENS[case]]
+
+
 class TestAgainstPerSequenceReference:
     """The batch kernel against the per-sequence forward, loss and backward
     it replaced."""
@@ -415,6 +431,24 @@ class TestAgainstPerSequenceReference:
             per_sequence.loss_and_param_grads(params, seqs, LossConfig(0.1))
         with pytest.raises(error):
             loss_and_param_grads(params, seqs, LossConfig(0.1))
+
+    @pytest.mark.parametrize("attention", [False, True])
+    @pytest.mark.parametrize("include", [False, True])
+    @pytest.mark.parametrize("case", REPEATED_CASES)
+    def test_repeated_tokens(self, case, include, attention):
+        for seed in range(3):
+            params = wide_params(2, attention, seed)
+            assert_same_loss_and_grads(params, repeated_batch(case), LossConfig(0.1, include))
+
+    @pytest.mark.parametrize("include", [False, True])
+    @pytest.mark.parametrize("case", REPEATED_CASES)
+    def test_grad_check_on_repeated_tokens_with_attention(self, case, include):
+        for depth in (1, 2):
+            params = wide_params(depth, True, seed=depth)
+            err = grad_check(
+                params, repeated_batch(case), n_coords=300, seed=depth, include_placeholders=include
+            )
+            assert err < 1e-4
 
     def test_grad_check_on_batch_with_repeats_and_placeholders(self):
         vocab, seqs = small_batch(n_intents=5, k=3)

@@ -33,6 +33,8 @@ from fewintent.trainer import TrainConfig
 
 from conftest import make_dataset
 
+import per_sequence
+
 
 def one_hot_model(n_labels=4):
     """Identity projector over one-hot embeddings: cosine similarity is exact
@@ -79,7 +81,7 @@ class TestPredict:
         assert base.ranking == again.ranking
 
 
-def grouped_ranking(params, vocab, text, labels, k):
+def grouped_ranking(params, vocab, text, labels, k, encode=encode):
     """Reference ranking: one sequence per canonical group, one `cosine_sim`
     per real slot, sorted by (score descending, intent id)."""
     scored = []
@@ -90,6 +92,10 @@ def grouped_ranking(params, vocab, text, labels, k):
                 scored.append((intent, cosine_sim(emb.h_u, emb.h_slots[pos])))
     scored.sort(key=lambda p: (-p[1], p[0]))
     return tuple(scored)
+
+
+def per_sequence_encode(params, seq):
+    return per_sequence.forward(params, seq)[0]
 
 
 def one_label_task():
@@ -146,16 +152,30 @@ class TestAgainstGroupedReference:
         for pred, ex in zip(batch, data.examples):
             assert pred.ranking == grouped_ranking(params, vocab, ex.text, data.labels, 4)
 
-    @pytest.mark.parametrize("n, k", [(12, 4), (13, 4)])
-    def test_attention_group_scores_match_per_slot_loop(self, n, k):
+    @pytest.mark.parametrize(
+        "n, k, repeat",
+        [(12, 4, False), (13, 4, False), (12, 4, True), (13, 4, True)],
+        ids=["12-4", "13-4", "12-4-repeats-a-label-word", "13-4-repeats-a-label-word"],
+    )
+    def test_attention_group_scores_match_per_slot_loop(self, n, k, repeat):
         _, data = generate_synthetic(n, 1, 3, seed=5, test_per_intent=1)
+        if repeat:  # each utterance says a word of its own label three more times
+            data = Dataset(data.labels, tuple(
+                LabeledUtterance(f"{ex.text} {ex.intent_id}-a {ex.intent_id}-a topic", ex.intent_id)
+                for ex in data.examples
+            ))
         vocab = build_vocab([data])
         params = init_params(len(vocab), 16, 16, 16, seed=5, attention=True)
+        for a in params.arrays():
+            a *= 6.0  # attention rows far from uniform
         batch = predict_dataset(params, vocab, data, k)
         for i, ex in enumerate(data.examples):
             ref = grouped_ranking(params, vocab, ex.text, data.labels, k)
             assert batch[i].ranking == ref
             assert predict(params, vocab, ex.text, data.labels, k).ranking == ref
+            # The scores of a layer that attends every position as a query.
+            full = dict(grouped_ranking(params, vocab, ex.text, data.labels, k, per_sequence_encode))
+            assert [s for _, s in ref] == pytest.approx([full[i] for i, _ in ref], rel=0, abs=1e-12)
 
 
 def _error_cases():

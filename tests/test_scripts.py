@@ -42,12 +42,13 @@ def _bench_compare():
 def _run(workload, seed, side, **metrics):
     values = {name: {"value": v, "unit": ""} for name, v in metrics.items()}
     return {"workload": workload, "seed": seed, "side": side, "trace": 0,
-            "result": {"metrics": values, "failed": 0, "attempted": 1}}
+            "result": {"metrics": values, "correct": True, "failed": 0, "attempted": 1}}
 
 
 def test_bench_compare_summary_on_fixed_runs():
     bc = _bench_compare()
-    end_to_end = [{"name": "ms", "better": "lower"}, {"name": "rate", "better": "higher"}]
+    end_to_end = [{"name": "ms", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "better": "higher", "bound": 0.25}]
     runs = []
     for seed, (parent_ms, change_ms) in enumerate([(3.0, 1.0), (3.2, 1.5), (3.4, 3.4), (3.6, 0.5)]):
         runs.append(_run("w", seed, "change", ms=change_ms, rate=10.0 + seed))
@@ -66,13 +67,51 @@ def test_bench_compare_summary_on_fixed_runs():
     assert one["parent"] == {"median": 1.0, "q1": 1.0, "q3": 1.0, "n": 1}
     assert (one["wins"], one["losses"], one["ties"]) == (0, 1, 0)
 
-    verdict = bc.claim(summary, "w", "ms")
+    verdict = bc.claim(summary, runs, "w", "ms")
     assert verdict["parent_iqr"] == pytest.approx(0.5) and (verdict["wins"], verdict["pairs"]) == (3, 4)
     assert not verdict["met"]  # 3 of 4 pairs is under nine tenths
     runs[4]["result"]["metrics"]["ms"]["value"] = 3.3  # the tie becomes a win
-    verdict = bc.claim(bc.summarize(runs, end_to_end), "w", "ms")
+    verdict = bc.claim(bc.summarize(runs, end_to_end), runs, "w", "ms")
     assert verdict["wins"] == 4 and verdict["met"]
     for change, parent in zip(runs[0:8:2], runs[1:8:2]):  # every pair won by less than the IQR
         change["result"]["metrics"]["ms"]["value"] = parent["result"]["metrics"]["ms"]["value"] - 0.1
-    verdict = bc.claim(bc.summarize(runs, end_to_end), "w", "ms")
+    verdict = bc.claim(bc.summarize(runs, end_to_end), runs, "w", "ms")
     assert verdict["wins"] == 4 and not verdict["met"]
+
+
+def test_bench_compare_regressions_and_failures():
+    bc = _bench_compare()
+    end_to_end = [{"name": "ms", "better": "lower", "bound": 0.25},
+                  {"name": "rate", "better": "higher", "bound": 0.1}]
+    runs = []
+    for seed in range(10):
+        runs.append(_run("w", seed, "parent", ms=2.0 + 0.01 * seed, rate=10.0))
+        runs.append(_run("w", seed, "change", ms=1.0 + 0.01 * seed, rate=8.9))
+        runs.append(_run("v", seed, "parent", ms=1.0, rate=10.0))
+        runs.append(_run("v", seed, "change", ms=1.26, rate=9.1))
+    summary = bc.summarize(runs, end_to_end)
+    # Lower is better for ms: a fall is no regression, a rise past the bound is.
+    assert not summary["w"]["ms"]["regressed"] and summary["v"]["ms"]["regressed"]
+    # Higher is better for rate: 8.9 is 11% under 10, 9.1 is 9% under.
+    assert summary["w"]["rate"]["regressed"] and not summary["v"]["rate"]["regressed"]
+    verdict = bc.claim(summary, runs, "w", "ms")
+    assert verdict["met"] and verdict["change_correct"]
+    assert verdict["failed"] == {"parent": 0, "change": 0}
+
+    failing = [dict(run, result=dict(run["result"])) for run in runs]
+    change = [r for r in failing if r["workload"] == "w" and r["side"] == "change"]
+    change[3]["result"].update(correct=False, failed=1)
+    verdict = bc.claim(bc.summarize(failing, end_to_end), failing, "w", "ms")
+    assert not verdict["met"] and not verdict["change_correct"]
+
+    change[3]["result"]["correct"] = True  # more failures than the parent, every check passed
+    verdict = bc.claim(bc.summarize(failing, end_to_end), failing, "w", "ms")
+    assert verdict["change_correct"] and verdict["failed"] == {"parent": 0, "change": 1}
+    assert not verdict["met"]
+    parent = [r for r in failing if r["workload"] == "w" and r["side"] == "parent"]
+    parent[5]["result"]["failed"] = 1  # as many as the parent
+    assert bc.claim(bc.summarize(failing, end_to_end), failing, "w", "ms")["met"]
+    # A failure on another workload does not count against this one.
+    other = [r for r in failing if r["workload"] == "v" and r["side"] == "change"]
+    other[0]["result"].update(correct=False, failed=3)
+    assert bc.claim(bc.summarize(failing, end_to_end), failing, "w", "ms")["met"]

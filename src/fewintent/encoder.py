@@ -12,9 +12,16 @@ mean of its token rows with `ndarray.mean`'s bits.
 
 The encoder has no positional signal, so equal tokens in a sequence have
 equal query rows. Attention therefore runs over a sequence's distinct tokens
-as queries and every position as a key and value (`_attended`), in training
-and in `encode` alike. Duplicate keys stay separate columns: merging them
-with a log-count bias would reorder each softmax row's sum.
+as queries and every position as a key and value (`_attended`). Duplicate
+keys stay separate columns: merging them with a log-count bias would reorder
+each softmax row's sum.
+
+With attention, training, `encode` and prediction (`encode_sequences`)
+share one forward pass: each sequence is attended on its own, then the spans
+of all the sequences are pooled in one `_pool` call and projected in one
+`_project` call (`_forward`). Both are row-exact, so a span's rows have the
+same bits in a batch of any size as in its sequence alone. Forward-only
+callers drop each sequence's attention backprop cache as they go.
 """
 
 from __future__ import annotations
@@ -381,11 +388,40 @@ def _project_backward(params: ModelParams, acts: list[np.ndarray], g: np.ndarray
     return g
 
 
+def _forward(params: ModelParams, seqs: Sequence[TokenizedSequence], rows: Sequence[np.ndarray]):
+    """The spans of every sequence pooled in one `_pool` call and projected
+    in one `_project` call, from `rows`, each sequence's position rows after
+    the optional attention layer (`_attended`, run on each sequence on its
+    own). Both calls are row-exact, so a span's rows have the bits they have
+    when its sequence runs alone.
+
+    Returns each sequence's first position in the stacked rows followed by
+    their total, the spans over those rows (per sequence its utterance, then
+    its slots), and `_project`'s layer inputs and output, one row per span.
+    """
+    starts = np.cumsum([0] + [len(seq.token_ids) for seq in seqs]).tolist()
+    spans = [range(start + s, start + e) for seq, start in zip(seqs, starts) for s, e in _spans(seq)]
+    acts, h = _project(params, _pool(np.concatenate(rows), spans))
+    return starts, spans, acts, h
+
+
+def _attended_rows(params: ModelParams, seqs: Sequence[TokenizedSequence]) -> list[np.ndarray]:
+    """Each sequence's position rows after `_attended`, without the backprop
+    caches, which a forward-only caller would otherwise hold for all of them."""
+    return [_attended(params, seq.token_ids)[1] for seq in seqs]
+
+
 def encode(params: ModelParams, seq: TokenizedSequence) -> SequenceEmbeddings:
     """Span mean pooling over token embeddings, then the shared projector."""
-    z = _pool(_attended(params, seq.token_ids)[1], [range(*span) for span in _spans(seq)])
-    h = _project(params, z)[1]
+    acts, h = _forward(params, [seq], _attended_rows(params, [seq]))[2:]
+    z = acts[0]
     return SequenceEmbeddings(z[0], z[1:], h[0], h[1:], seq.slot_intents, seq.gold_slot)
+
+
+def encode_sequences(params: ModelParams, seqs: Sequence[TokenizedSequence]) -> np.ndarray:
+    """The projected rows of many sequences, per sequence its utterance row
+    and then its slot rows, each with the bits ``encode`` gives it."""
+    return _forward(params, seqs, _attended_rows(params, seqs))[-1]
 
 
 def encode_spans(params: ModelParams, spans: Sequence[Sequence[int]]) -> np.ndarray:
@@ -407,15 +443,14 @@ def loss_and_param_grads(
     alone, so each distinct utterance or label is one row however often it
     recurs (keyed by token ids: an intent id names different labels in
     different inventories). With attention each sequence is attended on its
-    own, over its distinct tokens, and keeps its own rows.
+    own, over its distinct tokens, and keeps its own rows; this forward pass
+    (`_forward`) is the one `encode` and attention prediction run.
     """
     if not batch:
         raise DataError("empty batch")
     if params.has_attention:
         attended = [_attended(params, seq.token_ids) for seq in batch]
-        x = np.concatenate([rows for _, rows, _ in attended])
-        starts = np.cumsum([0] + [len(seq.token_ids) for seq in batch]).tolist()
-        spans = [range(start + s, start + e) for seq, start in zip(batch, starts) for s, e in _spans(seq)]
+        starts, spans, acts, h = _forward(params, batch, [rows for _, rows, _ in attended])
         firsts = np.cumsum([0] + [1 + len(seq.slot_spans) for seq in batch]).tolist()
         span_rows = [range(first, end) for first, end in zip(firsts, firsts[1:])]
     else:
@@ -424,15 +459,14 @@ def loss_and_param_grads(
             [row_of.setdefault(seq.token_ids[s:e], len(row_of)) for s, e in _spans(seq)]
             for seq in batch
         ]
-        x, spans = params.embedding, list(row_of)
-    z = _pool(x, spans)
+        spans = list(row_of)
+        acts, h = _project(params, _pool(params.embedding, spans))
     # Each sequence's utterance row, then its slot rows; a sequence with
     # fewer slots is padded with row 0, which its candidate mask leaves out.
     table = np.zeros((len(batch), max(map(len, span_rows))), dtype=np.intp)
     for row, rows in zip(table, span_rows):
         row[: len(rows)] = rows
 
-    acts, h = _project(params, z)
     candidates, gold = loss_targets(batch, cfg)
     loss, dh_u, dh_slots = batch_loss(h[table[:, 0]], h[table[:, 1:]], candidates, gold, cfg)
     dh = np.concatenate([dh_u[:, None], dh_slots], axis=1).reshape(-1, h.shape[1])
@@ -444,7 +478,7 @@ def loss_and_param_grads(
     dx = np.repeat(dz / np.array(lengths)[:, None], lengths, axis=0)
     entry_rows = [r for span in spans for r in span]
     if params.has_attention:
-        dy = np.zeros((len(x), params.d_emb))
+        dy = np.zeros((starts[-1], params.d_emb))
         dy[entry_rows] = dx
         dx = np.concatenate([
             _attend_backward(params, cache, dy[start:end], grads)

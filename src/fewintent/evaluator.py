@@ -6,12 +6,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import Dataset, IntentLabel, LabeledUtterance, sample_few_shot, split_dev
-from .encoder import ModelParams, Vocabulary, encode, encode_spans, tokenize, utterance_token_ids
+from .encoder import (
+    ModelParams,
+    TokenizedSequence,
+    Vocabulary,
+    encode,  # noqa: F401  perfbench/layers.py traces `evaluator.encode` and needs the name here
+    encode_sequences,
+    encode_spans,
+    tokenize,
+    utterance_token_ids,
+)
 from .errors import DataError
 from .objective import cosine_sim
 from .pretrain import ParaphrasePair, TfidfIndex
@@ -82,18 +91,13 @@ def predict(
     The utterance is scored against each of the m canonical-order groups and
     candidates compete globally across sequences; placeholder slots never
     enter the ranking. With attention, the utterance attends over its group,
-    so it is encoded with each group. Without attention, a label's
-    representation depends on neither the utterance nor the rest of its
-    group, so the utterance is ranked by the `LabelIndex` of the last
-    inventory scored, reused while the parameter values its label rows were
-    computed from are unchanged (see `_indexed`).
+    so it is encoded with each group, in one scoring pass (see `_rankings`).
+    Without attention, a label's representation depends on neither the
+    utterance nor the rest of its group, so the utterance is ranked by the
+    `LabelIndex` of the last inventory scored, reused while the parameter
+    values its label rows were computed from are unchanged (see `_indexed`).
     """
-    if params.has_attention:
-        ranking = _rankings(params, vocab, [text], labels, k)[0]
-    else:
-        partition_intents(labels, k)  # the checks of k and the inventory `_rankings` makes
-        ranking = _indexed(params, vocab, labels).rank(params, [text])[0]
-    return Prediction(utterance_id, ranking)
+    return Prediction(utterance_id, _rankings(params, vocab, [text], labels, k, _indexed)[0])
 
 
 def top1_accuracy(preds: Sequence[Prediction], data: Dataset) -> float:
@@ -111,7 +115,8 @@ def dataset_accuracy(params: ModelParams, vocab: Vocabulary, data: Dataset, k: i
 
 def predict_dataset(params: ModelParams, vocab: Vocabulary, data: Dataset, k: int) -> list[Prediction]:
     """`predict` for every example; without attention the labels are
-    encoded once for the whole dataset."""
+    encoded once for the whole dataset, with attention the sequences are
+    scored in passes of many utterances (see `_rankings`)."""
     texts = [ex.text for ex in data.examples]
     return [Prediction(i, r) for i, r in enumerate(_rankings(params, vocab, texts, data.labels, k))]
 
@@ -132,25 +137,70 @@ def _rankings(
     texts: Sequence[str],
     labels: Sequence[IntentLabel],
     k: int,
+    index: Callable[[ModelParams, Vocabulary, Sequence[IntentLabel]], LabelIndex] | None = None,
 ) -> list[Ranking]:
-    """The `predict` ranking of each of `texts`."""
-    groups = partition_intents(labels, k)  # checks k and the inventory on both paths
+    """The `predict` ranking of each of `texts`.
+
+    Every input check runs before any numeric work: k and the inventory,
+    every utterance's tokens and the labels (as `tokenize` checks them), so
+    bad input is a `DataError` whatever values the parameters hold.
+
+    Without attention the utterances are ranked by the inventory's
+    `LabelIndex`, from `index(params, vocab, labels)` (default
+    `encode_inventory`). With attention a label's row depends on the
+    utterance, so each (utterance, group) pair is its own sequence. Each
+    group is laid out once, by `tokenize` with the first utterance; every
+    utterance's sequence is its token ids followed by that group's tail.
+    The sequences are scored in passes of whole utterances, up to
+    `PASS_POSITIONS` token positions each: one `encode_sequences` call per
+    pass, then one `cosine_sim` per sequence over its real slots.
+    """
+    groups = partition_intents(labels, k)
     if not texts:
         return []
+    utterances = [utterance_token_ids(text, vocab) for text in texts]
     if not params.has_attention:
-        return encode_inventory(params, vocab, labels).rank(params, texts)
-    scores = np.array([_grouped_scores(params, vocab, text, labels, groups) for text in texts])
+        return (index or encode_inventory)(params, vocab, labels).rank(params, utterances)
+    tails = []  # each group's sequence after the utterance: token ids, slot spans, slots
+    for group in groups:
+        seq = tokenize(inference_plan(texts[0], group), labels, vocab)
+        n = seq.utterance_span[1]
+        tails.append((seq.token_ids[n:], [(s - n, e - n) for s, e in seq.slot_spans], group.slots))
+    reals = [[pos for pos, intent in enumerate(group.slots) if intent != PLACEHOLDER] for group in groups]
+    tail_positions = sum(len(ids) for ids, _, _ in tails)
+
+    scores = np.empty((len(texts), len(labels)))
+    for batch in _passes([len(groups) * len(ids) + tail_positions for ids in utterances]):
+        seqs = []
+        for i in batch:
+            ids, n = tuple(utterances[i]), len(utterances[i])
+            for tail, spans, slots in tails:
+                slot_spans = tuple((s + n, e + n) for s, e in spans)
+                seqs.append(TokenizedSequence(ids + tail, (0, n), slot_spans, slots, None))
+        rows = iter(encode_sequences(params, seqs).reshape(len(seqs), -1, params.d_out))
+        for i in batch:
+            scores[i] = np.concatenate([cosine_sim(h[0], h[1:][real]) for real, h in zip(reals, rows)])
     return _ranked(np.array([lab.id for lab in labels]), scores)
 
 
-def _grouped_scores(params, vocab, text, labels, groups) -> np.ndarray:
-    """One utterance's scores in inventory order, one `cosine_sim` per group."""
-    scores = []
-    for group in groups:
-        emb = encode(params, tokenize(inference_plan(text, group), labels, vocab))
-        real = [pos for pos, intent in enumerate(emb.slot_intents) if intent != PLACEHOLDER]
-        scores.append(cosine_sim(emb.h_u, emb.h_slots[real]))
-    return np.concatenate(scores)
+# Token positions per attention scoring pass: a pass holds whole utterances,
+# each with all its sequences; an utterance longer than this gets a pass of its own.
+# At 128 positions an utterance, passes of 256 to 2,048 positions scored at one
+# speed and one-utterance passes about 10% slower; larger passes only hold more memory.
+PASS_POSITIONS = 512
+
+
+def _passes(costs: Sequence[int]) -> list[list[int]]:
+    """The indices of `costs` in order, cut into passes whose costs sum to at
+    most `PASS_POSITIONS`; an index that alone costs more is a pass of its own."""
+    passes, size = [[]], 0
+    for i, cost in enumerate(costs):
+        if passes[-1] and size + cost > PASS_POSITIONS:
+            passes.append([])
+            size = 0
+        passes[-1].append(i)
+        size += cost
+    return passes
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,10 +216,10 @@ class LabelIndex:
     rows: np.ndarray  # (labels, d_out) projected label rows, inventory order
     tokens: np.ndarray  # the distinct label token ids (np.intp) the rows depend on
 
-    def rank(self, params: ModelParams, texts: Sequence[str]) -> list[Ranking]:
-        """The ranking of each of `texts`, each utterance encoded with `params`."""
-        spans = [utterance_token_ids(text, self.vocab) for text in texts]
-        return _ranked(self.ids, cosine_sim(encode_spans(params, spans), self.rows))
+    def rank(self, params: ModelParams, utterances: Sequence[Sequence[int]]) -> list[Ranking]:
+        """The ranking of each utterance, given as its token ids
+        (`utterance_token_ids`), each encoded with `params`."""
+        return _ranked(self.ids, cosine_sim(encode_spans(params, utterances), self.rows))
 
 
 def encode_inventory(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabel]) -> LabelIndex:
@@ -433,9 +483,11 @@ def generate_paraphrase_corpus(
     Concept c surfaces as "alpha{c}" on one side and "beta{c}" on the other, so
     a pair's two sides share meaning but zero tokens. An initial deterministic
     block covers every concept; the rest are random distinct concept tuples,
-    drawn sorted. Asking for more pairs than the block plus the sorted tuples
-    not already in it is a `DataError`.
+    drawn sorted. Asking for fewer than one pair, or for more than the block
+    plus the sorted tuples not already in it, is a `DataError`.
     """
+    if n_pairs < 1:
+        raise DataError(f"need at least one paraphrase pair, got n_pairs={n_pairs}")
     if concepts_per_sentence < 1:
         raise DataError(f"concepts_per_sentence must be >= 1, got {concepts_per_sentence}")
     if n_concepts < concepts_per_sentence:
@@ -449,7 +501,7 @@ def generate_paraphrase_corpus(
     if n_pairs > capacity:
         raise DataError(f"these concepts make at most {capacity} distinct pairs, asked for {n_pairs}")
     rng = np.random.default_rng(seed)
-    tuples = block[: max(n_pairs, 0)]
+    tuples = block[:n_pairs]
     seen = set(tuples)
     while len(tuples) < n_pairs:
         chunk = tuple(sorted(int(c) for c in rng.choice(n_concepts, size=concepts_per_sentence, replace=False)))

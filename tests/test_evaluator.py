@@ -178,6 +178,51 @@ class TestAgainstGroupedReference:
             assert [s for _, s in ref] == pytest.approx([full[i] for i, _ in ref], rel=0, abs=1e-12)
 
 
+class TestAttentionPasses:
+    """With attention the sequences are scored in passes of whole utterances;
+    the rankings equal the grouped reference bit for bit at every pass size."""
+
+    @pytest.mark.parametrize(
+        "pass_positions, n_passes",
+        [(1, 39), (300, None), (evaluator.PASS_POSITIONS, None), (10**9, 1)],
+        ids=["one-utterance-a-pass", "a-few-utterances-a-pass", "default", "one-pass"],
+    )
+    def test_rankings_bit_identical(self, monkeypatch, pass_positions, n_passes):
+        # 13 intents in groups of 4 pad the last group; 39 utterances, every
+        # third saying a word of its own label three more times.
+        _, data = generate_synthetic(13, 1, 3, seed=4, test_per_intent=3)
+        data = Dataset(data.labels, tuple(
+            LabeledUtterance(f"{ex.text} {ex.intent_id}-a {ex.intent_id}-a topic", ex.intent_id)
+            if i % 3 == 0 else ex
+            for i, ex in enumerate(data.examples)
+        ))
+        vocab = build_vocab([data])
+        params = init_params(len(vocab), 16, 16, 16, seed=4, attention=True)
+        for a in params.arrays():
+            a *= 6.0  # attention rows far from uniform
+        monkeypatch.setattr(evaluator, "PASS_POSITIONS", pass_positions)
+        calls = []
+        encode_sequences = evaluator.encode_sequences
+
+        def counted(params, seqs):
+            calls.append(len(seqs))
+            return encode_sequences(params, seqs)
+
+        monkeypatch.setattr(evaluator, "encode_sequences", counted)
+
+        batch = predict_dataset(params, vocab, data, 4)
+        assert sum(calls) == 4 * len(data.examples)  # m = 4 sequences per utterance
+        assert len(calls) == n_passes if n_passes else 1 < len(calls) < len(data.examples)
+        for i, ex in enumerate(data.examples):
+            ref = grouped_ranking(params, vocab, ex.text, data.labels, 4)
+            assert batch[i].ranking == ref
+            assert predict(params, vocab, ex.text, data.labels, 4).ranking == ref
+
+    def test_passes_hold_whole_utterances_within_the_budget(self, monkeypatch):
+        monkeypatch.setattr(evaluator, "PASS_POSITIONS", 10)
+        assert evaluator._passes([4, 6, 1, 12, 3, 3, 3, 10]) == [[0, 1], [2], [3], [4, 5, 6], [7]]
+
+
 def _error_cases():
     """(name, mutate) pairs; `mutate(params, labels)` returns the text, labels
     and parameters to predict with."""
@@ -215,7 +260,8 @@ class TestErrorParity:
 
     @pytest.mark.parametrize("mutate, error", _error_cases())
     @pytest.mark.parametrize("attention", [False, True])
-    def test_same_error_as_reference(self, mutate, error, attention):
+    def test_same_error_as_reference(self, monkeypatch, mutate, error, attention):
+        monkeypatch.setattr(evaluator, "PASS_POSITIONS", 1)  # the faulty utterance in the third pass
         pool, _ = generate_synthetic(5, 1, 1, seed=0, test_per_intent=1)
         vocab = build_vocab([pool])
         params = init_params(len(vocab), 8, 8, 8, seed=0, attention=attention)
@@ -226,9 +272,31 @@ class TestErrorParity:
         with pytest.raises(error):
             predict(params, vocab, text, labels, 2)
         if all(lab.id == i for i, lab in enumerate(labels)):  # else Dataset rejects the labels
-            examples = (LabeledUtterance("topic please", 0), LabeledUtterance(text, 1))
+            examples = (
+                LabeledUtterance("topic please", 0),
+                LabeledUtterance("please help", 1),
+                LabeledUtterance(text, 1),
+            )
             with pytest.raises(error):
                 predict_dataset(params, vocab, Dataset(labels, examples), 2)
+
+    @pytest.mark.parametrize("fault", ["utterance", "label"])
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_input_checks_run_before_numeric_checks(self, fault, attention):
+        """Bad input is a DataError even when the parameters would raise a
+        NumericError on the first sequence scored."""
+        pool, _ = generate_synthetic(5, 1, 1, seed=0, test_per_intent=1)
+        vocab = build_vocab([pool])
+        params = init_params(len(vocab), 8, 8, 8, seed=0, attention=attention)
+        params.proj_biases[-1][0] = np.nan
+        labels, text = pool.labels, "?! ..."
+        if fault == "label":
+            labels, text = (*labels[:4], IntentLabel(4, "??", "??")), "topic please"
+        examples = (LabeledUtterance("topic please", 0), LabeledUtterance(text, 1))
+        with pytest.raises(DataError):
+            predict_dataset(params, vocab, Dataset(labels, examples), 2)
+        with pytest.raises(DataError):
+            predict(params, vocab, text, labels, 2)
 
 
 def _label_input_edits():
@@ -490,6 +558,11 @@ class TestTransferGenerators:
             assert len(set(pairs)) == capacity
             with pytest.raises(DataError):
                 generate_paraphrase_corpus(capacity + 1, n_concepts, seed=0, concepts_per_sentence=c)
+
+    @pytest.mark.parametrize("n_pairs", [0, -3])
+    def test_paraphrase_corpus_needs_a_pair(self, n_pairs):
+        with pytest.raises(DataError, match=f"n_pairs={n_pairs}"):
+            generate_paraphrase_corpus(n_pairs, 12, seed=0)
 
     def test_paraphrase_needs_a_concept_per_sentence(self):
         with pytest.raises(DataError):

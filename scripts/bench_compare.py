@@ -7,13 +7,14 @@ Each pair runs `python3 perfbench/run.py --workload W --seed N --seconds S
 parent first, odd pairs the change. Every run's environment and result line
 are kept. The summary gives each workload's end-to-end metrics as median,
 quartiles and run count per side, and how many pairs the change won, lost
-and tied by the metric's `better` direction in BENCHMARK.json, and whether
+and tied by the metric's `better` direction in BENCHMARK.json, whether
 the change's median is worse than the parent's by more than the metric's
-`bound`. A claim (`--claim WORKLOAD:METRIC`) is met when the change wins at
-least nine tenths of that workload's pairs, the medians differ by more than
-the parent's interquartile range, every change run of that workload passed
-its output check, and the change failed no more operations there than the
-parent.
+`bound`, and whether the parent's own spread is too wide for that bound to
+tell (`unresolved`). A claim (`--claim WORKLOAD:METRIC`) is met when the
+change wins at least nine tenths of that workload's pairs, the medians
+differ by more than the parent's interquartile range, every change run of
+that workload passed its output check, and the change failed no more
+operations there than the parent.
 
     python3 scripts/bench_compare.py --parent ../parent --change . \\
         --label label_index --pairs predict_c150=5 train_b77=3 --seeds 41 42 43 44 45 \\
@@ -42,9 +43,10 @@ def quartiles(values: list[float]) -> dict:
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's `quartiles` over its
     runs, the change's wins, losses and ties over the pairs, a pair being
-    the two runs of one workload at one seed, and `regressed`: whether the
+    the two runs of one workload at one seed, `regressed`: whether the
     change's median is worse than the parent's by more than the metric's
-    relative `bound`."""
+    relative `bound`, and `unresolved`: whether the parent's interquartile
+    range exceeds that bound, unless every change run beats every parent run."""
     summary: dict = {}
     for spec in end_to_end:
         name, sign = spec["name"], _sign(spec)
@@ -63,10 +65,12 @@ def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     specs = {spec["name"]: spec for spec in end_to_end}
     for metrics in summary.values():
         for name, entry in metrics.items():
+            sign, bound = _sign(specs[name]), specs[name]["bound"]
+            beats_all = min(sign * v for v in entry["change"]) > max(sign * v for v in entry["parent"])
             entry["parent"], entry["change"] = quartiles(entry["parent"]), quartiles(entry["change"])
-            parent, change = entry["parent"]["median"], entry["change"]["median"]
-            worse_by = _sign(specs[name]) * (parent - change)
-            entry["regressed"] = worse_by > specs[name]["bound"] * abs(parent)
+            parent, change = entry["parent"], entry["change"]
+            entry["regressed"] = sign * (parent["median"] - change["median"]) > bound * abs(parent["median"])
+            entry["unresolved"] = parent["q3"] - parent["q1"] > bound * abs(parent["median"]) and not beats_all
     return summary
 
 

@@ -19,7 +19,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
-from .corpus import Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev
+from .corpus import (
+    Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl,
+)
 from .encoder import build_vocab, utterance_token_ids
 from .errors import DataError, NumericError
 from .evaluator import (
@@ -74,24 +76,27 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
 
+_DEFAULTS = TrainConfig()  # the default of every hyperparameter option
 _HYPERPARAMS = [
-    Opt("k", "int", None, "group size; default minimizes placeholder padding"),
-    Opt("k_min", "int", 20, "lower bound for automatic group-size choice"),
-    Opt("k_max", "int", 35, "upper bound for automatic group-size choice"),
-    Opt("tau", "float", 0.1, "softmax temperature"),
-    Opt("batch_size", "int", 8, "sequences per optimizer step"),
-    Opt("learning_rate", "float", 1e-2, "step size"),
-    Opt("epochs", "int", 10, "training epochs"),
-    Opt("shuffles", "int", None, "times each plan is repeated per epoch (default: k)"),
-    Opt("optimizer", "str", "adam", "sgd or adam"),
-    Opt("selection", "str", "dev_accuracy", "model selection: dev_accuracy or train_loss"),
-    Opt("d_emb", "int", 64, "embedding dimension"),
-    Opt("d_hidden", "int", 64, "projector hidden dimension"),
-    Opt("d_out", "int", 64, "projector output dimension"),
-    Opt("projector_depth", "int", 2, "projector layers"),
-    Opt("attention", "bool", False, "enable the single self-attention layer"),
-    Opt("include_placeholders", "bool", False, "keep placeholder slots in the loss denominator"),
-    Opt("min_count", "int", 1, "vocabulary frequency cutoff"),
+    Opt("k", "int", _DEFAULTS.k, "group size; default minimizes placeholder padding"),
+    Opt("k_min", "int", _DEFAULTS.k_min, "lower bound for automatic group-size choice"),
+    Opt("k_max", "int", _DEFAULTS.k_max, "upper bound for automatic group-size choice"),
+    Opt("tau", "float", _DEFAULTS.tau, "softmax temperature"),
+    Opt("batch_size", "int", _DEFAULTS.batch_size, "sequences per optimizer step"),
+    Opt("learning_rate", "float", _DEFAULTS.learning_rate, "step size"),
+    Opt("epochs", "int", _DEFAULTS.epochs, "training epochs"),
+    Opt("shuffles", "int", _DEFAULTS.shuffles_per_sequence,
+        "times each plan is repeated per epoch (default: k)"),
+    Opt("optimizer", "str", _DEFAULTS.optimizer, "sgd or adam"),
+    Opt("selection", "str", _DEFAULTS.selection, "model selection: dev_accuracy or train_loss"),
+    Opt("d_emb", "int", _DEFAULTS.d_emb, "embedding dimension"),
+    Opt("d_hidden", "int", _DEFAULTS.d_hidden, "projector hidden dimension"),
+    Opt("d_out", "int", _DEFAULTS.d_out, "projector output dimension"),
+    Opt("projector_depth", "int", _DEFAULTS.projector_depth, "projector layers"),
+    Opt("attention", "bool", _DEFAULTS.attention, "enable the single self-attention layer"),
+    Opt("include_placeholders", "bool", _DEFAULTS.include_placeholders,
+        "keep placeholder slots in the loss denominator"),
+    Opt("min_count", "int", _DEFAULTS.min_count, "vocabulary frequency cutoff"),
 ]
 
 
@@ -287,15 +292,6 @@ def _predict_checkpoint(cfg: dict):
     return test_data, k, predict_dataset(params, vocab, test_data, k)
 
 
-def _write_dataset_jsonl(data: Dataset, path: Path):
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for ex in data.examples:
-            rec = {"text": ex.text, "label": data.labels[ex.intent_id].raw_name}
-            if ex.domain is not None:
-                rec["domain"] = ex.domain
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
 def _top(labels, ranking, top: int = 5) -> list[dict]:
     """The first `top` entries of a ranking, each intent by its raw name."""
     return [{"intent": labels[iid].raw_name, "score": score} for iid, score in ranking[:top]]
@@ -326,8 +322,8 @@ def _cmd_synth(cfg: dict, explicit: set[str], writer: _Writer):
     )
     out_dir = Path(cfg["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_dataset_jsonl(train_data, out_dir / "train.jsonl")
-    _write_dataset_jsonl(test_data, out_dir / "test.jsonl")
+    write_dataset_jsonl(train_data, out_dir / "train.jsonl")
+    write_dataset_jsonl(test_data, out_dir / "test.jsonl")
     writer.write({
         "record": "synth",
         "train_path": str(out_dir / "train.jsonl"),

@@ -49,6 +49,14 @@ class IntentLabel:
     surface: str
 
 
+def check_label_ids(labels: Sequence[IntentLabel]) -> None:
+    """Raise `DataError` unless the labels' ids are 0..n-1 in list order, so
+    an intent id indexes its own label."""
+    for i, lab in enumerate(labels):
+        if lab.id != i:
+            raise DataError(f"label ids must be contiguous from 0, got {lab.id} at {i}")
+
+
 @dataclass(frozen=True)
 class LabeledUtterance:
     text: str
@@ -67,9 +75,8 @@ class Dataset:
     def __post_init__(self):
         if len(self.labels) < 1:
             raise DataError(f"dataset {self.name!r} has no intents")
-        for i, lab in enumerate(self.labels):
-            if lab.id != i:
-                raise DataError(f"label ids must be contiguous from 0, got {lab.id} at {i}")
+        check_label_ids(self.labels)
+        for lab in self.labels:
             if not lab.surface or "_" in lab.surface or lab.surface != lab.surface.lower():
                 raise DataError(f"bad label surface {lab.surface!r}")
         n = len(self.labels)
@@ -104,16 +111,14 @@ def inventory_labels(path: str | Path) -> tuple[IntentLabel, ...]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from None
-    labels: list[IntentLabel] = []
-    seen: set[str] = set()
+    labels: dict[str, IntentLabel] = {}  # by surface, in first-appearance order
     for raw in filter(None, (line.strip() for line in text.splitlines())):
         surface = normalize_label(raw)
-        if surface not in seen:
-            seen.add(surface)
-            labels.append(IntentLabel(len(labels), raw, surface))
+        if surface not in labels:
+            labels[surface] = IntentLabel(len(labels), raw, surface)
     if not labels:
         raise DataError(f"label inventory {path} is empty")
-    return tuple(labels)
+    return tuple(labels.values())
 
 
 def checked_decode(path: Path, rows: Iterable) -> Iterable:
@@ -177,6 +182,16 @@ def _rows_from_jsonl(path: Path) -> Iterable[tuple[int, str, str, str | None]]:
             yield lineno, text, label, domain
 
 
+def write_dataset_jsonl(data: Dataset, path: Path):
+    """Write `data` as the JSONL records `load_dataset` reads, each label by its raw name."""
+    with path.open("w", encoding="utf-8", newline="\n") as fh:
+        for ex in data.examples:
+            rec = {"text": ex.text, "label": data.labels[ex.intent_id].raw_name}
+            if ex.domain is not None:
+                rec["domain"] = ex.domain
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
 def load_dataset(
     path: str | Path,
     format: str = "csv",
@@ -199,8 +214,7 @@ def load_dataset(
         raise DataError(f"unknown dataset format {format!r} (expected csv or jsonl)")
 
     fixed_inventory = inventory is not None
-    labels = list(inventory_labels(inventory)) if fixed_inventory else []
-    surface_to_id = {lab.surface: lab.id for lab in labels}
+    labels = {lab.surface: lab for lab in inventory_labels(inventory)} if fixed_inventory else {}
 
     examples: list[LabeledUtterance] = []
     for lineno, text, raw_label, domain in checked_decode(path, rows):
@@ -209,17 +223,16 @@ def load_dataset(
         if not raw_label.strip():
             raise DataError(f"{path}:{lineno}: empty label")
         surface = normalize_label(raw_label)
-        if surface not in surface_to_id:
+        if surface not in labels:
             if fixed_inventory:
                 raise DataError(f"{path}:{lineno}: label {raw_label!r} not in inventory")
-            surface_to_id[surface] = len(labels)
-            labels.append(IntentLabel(len(labels), raw_label, surface))
+            labels[surface] = IntentLabel(len(labels), raw_label, surface)
         domain_tag = str(domain) if domain is not None else None
-        examples.append(LabeledUtterance(text.strip(), surface_to_id[surface], domain_tag))
+        examples.append(LabeledUtterance(text.strip(), labels[surface].id, domain_tag))
 
     if not examples:
         raise DataError(f"{path}: no examples")
-    return Dataset(tuple(labels), tuple(examples), name=name or path.stem)
+    return Dataset(tuple(labels.values()), tuple(examples), name=name or path.stem)
 
 
 def sample_few_shot(data: Dataset, shots: int, seed: int) -> Dataset:
@@ -274,18 +287,16 @@ def build_ood(
     if not others:
         raise DataError("build_ood needs at least one source dataset")
     excluded = {d.strip().lower() for d in excluded_domains if d.strip()}
-    surface_to_id: dict[str, int] = {}
-    labels: list[IntentLabel] = []
+    labels: dict[str, IntentLabel] = {}  # by surface, in first-appearance order
     examples: list[LabeledUtterance] = []
     for source in others:
         for ex in source.examples:
             if ex.domain is not None and ex.domain.strip().lower() in excluded:
                 continue
             lab = source.labels[ex.intent_id]
-            if lab.surface not in surface_to_id:
-                surface_to_id[lab.surface] = len(labels)
-                labels.append(IntentLabel(len(labels), lab.raw_name, lab.surface))
-            examples.append(LabeledUtterance(ex.text, surface_to_id[lab.surface], ex.domain))
+            if lab.surface not in labels:
+                labels[lab.surface] = IntentLabel(len(labels), lab.raw_name, lab.surface)
+            examples.append(LabeledUtterance(ex.text, labels[lab.surface].id, ex.domain))
     if not examples:
         raise DataError("no out-of-domain examples survive the domain filter")
-    return Dataset(tuple(labels), tuple(examples), name=f"ood-for-{target.name}")
+    return Dataset(tuple(labels.values()), tuple(examples), name=f"ood-for-{target.name}")

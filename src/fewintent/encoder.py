@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, IntentLabel
+from .corpus import Dataset, IntentLabel, check_label_ids
 from .errors import DataError, NumericError
 from .objective import LossConfig, batch_loss, loss_targets
 from .sequencer import PLACEHOLDER, SequencePlan
@@ -134,9 +134,14 @@ def plan_word_ids(
     plans: Iterable[tuple[SequencePlan, Sequence[IntentLabel]]], vocab: Vocabulary
 ) -> dict[str, tuple[int, ...]]:
     """Token ids of every utterance text and label surface the (plan, labels)
-    pairs lay out, each text tokenized once. Raises what `tokenize` raises."""
+    pairs lay out, each text tokenized once. Raises what `tokenize` raises;
+    each distinct label list must pass `check_label_ids`."""
     ids: dict[str, tuple[int, ...]] = {}
+    checked = None  # the label list last checked; pairs of one inventory come in runs
     for plan, labels in plans:
+        if labels is not checked:
+            check_label_ids(labels)
+            checked = labels
         text = plan.utterance.text
         if text not in ids:
             ids[text] = tuple(utterance_token_ids(text, vocab))
@@ -144,8 +149,6 @@ def plan_word_ids(
             if intent == PLACEHOLDER:
                 continue
             lab = labels[intent]
-            if lab.id != intent:
-                raise DataError(f"label list out of order at id {intent}")
             if lab.surface not in ids:
                 ids[lab.surface] = tuple(vocab.id_of(w) for w in word_tokens(lab.surface))
                 if not ids[lab.surface]:

@@ -205,70 +205,61 @@ def _passes(costs: Sequence[int]) -> list[list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class LabelIndex:
-    """An inventory's label rows, encoded once for a model without attention.
+    """An inventory's label rows, encoded once for a model without attention,
+    with copies of the inputs they were computed from. Never mutated, and it
+    holds no reference to the parameters.
 
     Each label span is encoded on its own, which gives it the bits a
     sequence gives it, so `rank` equals the grouped path bit for bit.
     """
 
+    labels: tuple[IntentLabel, ...]
     vocab: Vocabulary
     ids: np.ndarray  # intent ids, inventory order
     rows: np.ndarray  # (labels, d_out) projected label rows, inventory order
     tokens: np.ndarray  # the distinct label token ids (np.intp) the rows depend on
+    embedding_rows: np.ndarray  # copy of the embedding rows of `tokens`
+    projector: tuple[np.ndarray, ...]  # copies of the projector weights, then its biases
 
     def rank(self, params: ModelParams, utterances: Sequence[Sequence[int]]) -> list[Ranking]:
         """The ranking of each utterance, given as its token ids
         (`utterance_token_ids`), each encoded with `params`."""
         return _ranked(self.ids, cosine_sim(encode_spans(params, utterances), self.rows))
 
-
-def encode_inventory(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabel]) -> LabelIndex:
-    """The `LabelIndex` of `labels` under `params`, a model without attention.
-
-    The labels are laid out as one all-label plan, so `tokenize` checks them
-    as the grouped path does: a label list out of id order, or a label
-    without tokens, is a `DataError`. The plan's stand-in utterance is dropped.
-    """
-    if params.has_attention:
-        raise DataError("a label index needs a model without attention")
-    seq = tokenize(inference_plan("labels", partition_intents(labels, len(labels))[0]), labels, vocab)
-    spans = [seq.token_ids[s:e] for s, e in seq.slot_spans]
-    tokens = np.unique(np.concatenate(spans)).astype(np.intp)
-    return LabelIndex(vocab, np.array([lab.id for lab in labels]), encode_spans(params, spans), tokens)
-
-
-@dataclass(frozen=True, eq=False)
-class _Memo:
-    """One published `LabelIndex` with the inputs it was built from: copies
-    of the label tokens' embedding rows and of every projector array. Never
-    mutated once published, and it holds no reference to the parameters."""
-
-    labels: tuple[IntentLabel, ...]
-    embedding_rows: np.ndarray
-    projector: tuple[np.ndarray, ...]
-    index: LabelIndex
-
     def serves(self, params: ModelParams, vocab: Vocabulary, labels: tuple[IntentLabel, ...]) -> bool:
-        """Whether `index` is what `encode_inventory(params, vocab, labels)` gives."""
+        """Whether this index is what `encode_inventory(params, vocab, labels)` gives."""
         if not (self.labels is labels or self.labels == labels):
             return False
-        if not (self.index.vocab is vocab or self.index.vocab == vocab):
+        if not (self.vocab is vocab or self.vocab == vocab):
             return False
-        current = (params.embedding[self.index.tokens], *_projector(params))
+        current = (params.embedding[self.tokens], *params.proj_weights, *params.proj_biases)
         return len(current) == 1 + len(self.projector) and all(
             map(_same_bits, current, (self.embedding_rows, *self.projector))
         )
-
-
-def _projector(params: ModelParams) -> list[np.ndarray]:
-    return [*params.proj_weights, *params.proj_biases]
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-_memo: _Memo | None = None  # the last inventory `predict` scored without attention
+def encode_inventory(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabel]) -> LabelIndex:
+    """The `LabelIndex` of `labels` under `params`, a model without attention.
+
+    The labels are laid out as one all-label plan, so they are checked as
+    the grouped path checks them: ids failing `check_label_ids`, or a label
+    without tokens, are a `DataError`. The plan's stand-in utterance is dropped.
+    """
+    if params.has_attention:
+        raise DataError("a label index needs a model without attention")
+    seq = tokenize(inference_plan("labels", partition_intents(labels, len(labels))[0]), labels, vocab)
+    spans = [seq.token_ids[s:e] for s, e in seq.slot_spans]
+    tokens = np.unique(np.concatenate(spans)).astype(np.intp)
+    ids, rows = np.array([lab.id for lab in labels]), encode_spans(params, spans)
+    projector = tuple(np.copy(a) for a in (*params.proj_weights, *params.proj_biases))
+    return LabelIndex(tuple(labels), vocab, ids, rows, tokens, params.embedding[tokens], projector)
+
+
+_memo: LabelIndex | None = None  # the last inventory `predict` scored without attention
 
 
 def _indexed(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabel]) -> LabelIndex:
@@ -277,25 +268,18 @@ def _indexed(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabe
 
     Nothing is keyed on the `ModelParams` object, which training mutates in
     place: every call compares the label tokens' embedding rows and every
-    projector array, bit for bit, against the memo's copies. A published
-    entry holds no NaN (its rows would not have been finite), so parameters
+    projector array, bit for bit, against the index's copies. A published
+    index holds no NaN (its rows would not have been finite), so parameters
     a NaN entered are encoded again and raise as they would uncached. The
     entry is read once and replaced whole, so concurrent callers may
     rebuild it in turn but never mix two models.
     """
     global _memo
     labels = tuple(labels)
-    entry = _memo
-    if entry is None or not entry.serves(params, vocab, labels):
-        index = encode_inventory(params, vocab, labels)
-        entry = _Memo(
-            labels,
-            params.embedding[index.tokens],
-            tuple(np.copy(a) for a in _projector(params)),
-            index,
-        )
-        _memo = entry
-    return entry.index
+    index = _memo
+    if index is None or not index.serves(params, vocab, labels):
+        index = _memo = encode_inventory(params, vocab, labels)
+    return index
 
 
 def _per_intent_accuracy(all_preds, all_gold) -> dict[int, float]:

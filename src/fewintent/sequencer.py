@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import IntentLabel, LabeledUtterance
+from .corpus import IntentLabel, LabeledUtterance, check_label_ids
 from .errors import DataError
 
 # Sentinel slot content for padding; never a valid intent id.
@@ -63,11 +63,13 @@ def choose_k(n: int, k_min: int, k_max: int) -> int:
 
 
 def partition_intents(labels: Sequence[IntentLabel], k: int) -> list[IntentGroup]:
-    """Split the inventory into ceil(n/k) groups of k slots, in inventory order."""
+    """Split the inventory into ceil(n/k) groups of k slots, in inventory order;
+    the label ids must pass `check_label_ids`."""
     if not labels:
         raise DataError("cannot partition an empty inventory")
     if k < 1:
         raise DataError(f"group size must be >= 1, got {k}")
+    check_label_ids(labels)
     ids = [lab.id for lab in labels]
     groups = []
     for gi, start in enumerate(range(0, len(ids), k)):

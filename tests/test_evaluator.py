@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,12 @@ def _error_cases():
     def out_of_order(params, labels):
         return "topic please", tuple(reversed(labels)), params
 
+    def id_past_the_end(params, labels):
+        return "topic please", (*labels[:4], IntentLabel(7, "l7", labels[4].surface)), params
+
+    def duplicate_id(params, labels):  # the second label would never be scored
+        return "topic please", (labels[0], IntentLabel(0, "l0", labels[1].surface), *labels[2:]), params
+
     def non_finite(params, labels):
         params.proj_biases[-1][0] = np.nan
         return "topic please", labels, params
@@ -249,6 +257,8 @@ def _error_cases():
         pytest.param(empty_utterance, DataError, id="utterance-without-tokens"),
         pytest.param(empty_label, DataError, id="label-without-tokens"),
         pytest.param(out_of_order, DataError, id="labels-out-of-order"),
+        pytest.param(id_past_the_end, DataError, id="label-id-past-the-end"),
+        pytest.param(duplicate_id, DataError, id="duplicate-label-id"),
         pytest.param(non_finite, NumericError, id="non-finite-params"),
         pytest.param(zero_norm, NumericError, id="zero-norm"),
     ]
@@ -271,14 +281,17 @@ class TestErrorParity:
             grouped_ranking(params, vocab, text, labels, 2)
         with pytest.raises(error):
             predict(params, vocab, text, labels, 2)
-        if all(lab.id == i for i, lab in enumerate(labels)):  # else Dataset rejects the labels
-            examples = (
-                LabeledUtterance("topic please", 0),
-                LabeledUtterance("please help", 1),
-                LabeledUtterance(text, 1),
-            )
-            with pytest.raises(error):
-                predict_dataset(params, vocab, Dataset(labels, examples), 2)
+        examples = (
+            LabeledUtterance("topic please", 0),
+            LabeledUtterance("please help", 1),
+            LabeledUtterance(text, 1),
+        )
+        try:
+            data = Dataset(labels, examples)
+        except DataError:  # Dataset rejects the label ids; so must predict_dataset, given them
+            data = SimpleNamespace(labels=labels, examples=examples)
+        with pytest.raises(error):
+            predict_dataset(params, vocab, data, 2)
 
     @pytest.mark.parametrize("fault", ["utterance", "label"])
     @pytest.mark.parametrize("attention", [False, True])

@@ -115,3 +115,28 @@ def test_bench_compare_regressions_and_failures():
     other = [r for r in failing if r["workload"] == "v" and r["side"] == "change"]
     other[0]["result"].update(correct=False, failed=3)
     assert bc.claim(bc.summarize(failing, end_to_end), failing, "w", "ms")["met"]
+
+
+def test_bench_compare_unresolved_when_the_parent_spreads_past_the_bound():
+    bc = _bench_compare()
+    end_to_end = [{"name": "ms", "better": "lower", "bound": 0.1}]
+    parent = [1.0, 1.3, 0.8, 1.1, 0.9, 1.2, 1.0, 0.7, 1.4, 1.0]  # IQR 0.35 against 0.1 of a median of 1.0
+    steady = [1.0, 1.01, 0.99, 1.0, 1.02, 0.98, 1.0, 1.01, 0.99, 1.0]
+
+    def summary(parent_ms, change_ms):
+        runs = [_run("w", seed, side, ms=ms)
+                for seed, pair in enumerate(zip(parent_ms, change_ms))
+                for side, ms in zip(("parent", "change"), pair)]
+        return bc.summarize(runs, end_to_end)["w"]["ms"]
+
+    mixed = summary(parent, [0.9 * v for v in reversed(parent)])
+    assert mixed["unresolved"] and not mixed["regressed"]
+    # Every change run reads better than every parent run: resolved at any spread.
+    faster = summary(parent, [0.6 - 0.01 * i for i in range(10)])
+    assert not faster["unresolved"]
+    assert summary(parent, [0.7] * 10)["unresolved"]  # a tie with the parent's best run is no win
+    assert not summary(steady, list(reversed(steady)))["unresolved"]
+    # Higher is better: the comparison turns with the direction.
+    end_to_end[0]["better"] = "higher"
+    assert not summary(parent, [1.5] * 10)["unresolved"]
+    assert summary(parent, [0.6] * 10)["unresolved"]

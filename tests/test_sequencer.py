@@ -73,6 +73,13 @@ class TestPartitionIntents:
         assert len(groups) == 2
         assert all(PLACEHOLDER not in g.slots for g in groups)
 
+    @pytest.mark.parametrize("ids", [(1, 0), (0, 0), (0, 2), (3,)],
+                             ids=["swapped", "duplicate", "gap", "past-the-end"])
+    def test_label_ids_must_run_from_zero_in_order(self, ids):
+        labels = tuple(IntentLabel(i, f"l{j}", f"l{j}") for j, i in enumerate(ids))
+        with pytest.raises(DataError, match="contiguous from 0"):
+            partition_intents(labels, 2)
+
     def test_77_intents_at_26(self):
         labels = tuple(IntentLabel(i, f"l{i}", f"l{i}") for i in range(77))
         groups = partition_intents(labels, 26)

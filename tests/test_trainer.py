@@ -221,8 +221,9 @@ class TestTokenizeOnce:
             ("...", ("card arrival", "freeze"), (0, 1)),
             ("freeze card", ("card arrival", "??"), (0, 1)),
             ("freeze card", ("card arrival", "freeze"), (1, 0)),
+            ("freeze card", ("card arrival", "freeze"), (0, 1, 1)),  # no plan shows the third label
         ],
-        ids=["utterance-without-tokens", "label-without-tokens", "labels-out-of-order"],
+        ids=["utterance-without-tokens", "label-without-tokens", "labels-out-of-order", "duplicate-label-id"],
     )
     def test_tokenize_errors_end_the_run(self, text, surfaces, order):
         labels = tuple(IntentLabel(i, f"l{i}", surfaces[i]) for i in range(2))

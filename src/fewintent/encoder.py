@@ -5,6 +5,10 @@ embedding lookup, optional single self-attention layer, span mean pooling, and
 a shared MLP projector applied to the utterance span and every label slot.
 All gradients are analytic and checked against central finite differences.
 
+This module owns the parameter layout (`param_shapes`): every `ModelParams`
+array is a view of one float64 vector, which the optimizers, checkpoints,
+`grad_check` and the label index each handle as one array.
+
 Training runs one batch kernel (`loss_and_param_grads`): one projector pass,
 array loss, backward pass and embedding scatter per batch, with each distinct
 span of an attention-free batch encoded once. Every path pools a span to the
@@ -26,10 +30,11 @@ callers drop each sequence's attention backprop cache as they go.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -135,7 +140,8 @@ def plan_word_ids(
 ) -> dict[str, tuple[int, ...]]:
     """Token ids of every utterance text and label surface the (plan, labels)
     pairs lay out, each text tokenized once. Raises what `tokenize` raises;
-    each distinct label list must pass `check_label_ids`."""
+    each distinct label list must pass `check_label_ids`, and every slot
+    must hold `PLACEHOLDER` or an intent id of its own labels."""
     ids: dict[str, tuple[int, ...]] = {}
     checked = None  # the label list last checked; pairs of one inventory come in runs
     for plan, labels in plans:
@@ -148,6 +154,8 @@ def plan_word_ids(
         for intent in plan.group.slots:
             if intent == PLACEHOLDER:
                 continue
+            if not 0 <= intent < len(labels):
+                raise DataError(f"plan slot names intent {intent}, outside its {len(labels)} labels")
             lab = labels[intent]
             if lab.surface not in ids:
                 ids[lab.surface] = tuple(vocab.id_of(w) for w in word_tokens(lab.surface))
@@ -176,30 +184,53 @@ def tokenize(plan: SequencePlan, labels: Sequence[IntentLabel], vocab: Vocabular
     return lay_out(plan, labels, plan_word_ids([(plan, labels)], vocab))
 
 
-@dataclass
+def param_shapes(vocab_size: int, dims: Sequence[int], attention: bool) -> list[tuple[int, ...]]:
+    """Each parameter array's shape in `ModelParams.flat` order, from the
+    layer widths `dims` (embedding first): the embedding table, each projector
+    layer's weights then bias, then with attention the q, k and v weights."""
+    if len(dims) < 2 or min(dims) < 1 or dims[-1] < 2:  # cosine needs two output dimensions
+        raise DataError(f"layer widths {list(dims)}: need a projector layer, widths >= 1, output >= 2")
+    layers = [shape for d_in, d_out in zip(dims, dims[1:]) for shape in ((d_in, d_out), (d_out,))]
+    return [(vocab_size, dims[0]), *layers, *[(dims[0], dims[0])] * (3 if attention else 0)]
+
+
+@dataclass(eq=False)
 class ModelParams:
-    """Trainable state: embedding table, shared projector, optional attention."""
+    """Trainable state: embedding table, shared projector, optional attention.
+    The constructor copies the arrays into `flat`, one float64 vector, and each
+    array is then a view of it (`param_shapes`): edit them in place."""
 
     embedding: np.ndarray  # (vocab, d_emb)
-    proj_weights: list[np.ndarray]  # layer i: (d_in_i, d_out_i)
-    proj_biases: list[np.ndarray]
+    proj_weights: tuple[np.ndarray, ...]  # layer i: (d_in_i, d_out_i)
+    proj_biases: tuple[np.ndarray, ...]
     attn_q: np.ndarray | None = None  # (d_emb, d_emb), all three set or none
     attn_k: np.ndarray | None = None
     attn_v: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.proj_weights or len(self.proj_weights) != len(self.proj_biases):
-            raise DataError("projector needs matching weight/bias lists")
-        d = self.embedding.shape[1]
-        for w, b in zip(self.proj_weights, self.proj_biases):
-            if w.shape[0] != d or w.shape[1] != b.shape[0]:
-                raise DataError(f"projector layer shape mismatch: {w.shape} after dim {d}")
-            d = w.shape[1]
-        if d < 2:
-            raise DataError(f"output dimension must be >= 2, got {d}")
-        attn = (self.attn_q, self.attn_k, self.attn_v)
-        if any(a is not None for a in attn) and not all(a is not None for a in attn):
-            raise DataError("attention needs all of q/k/v weights")
+        attn = [a for a in (self.attn_q, self.attn_k, self.attn_v) if a is not None]
+        arrays = [self.embedding, *chain.from_iterable(zip(self.proj_weights, self.proj_biases)), *attn]
+        dims = [np.shape(a)[-1] for a in (self.embedding, *self.proj_weights)]
+        shapes = [np.shape(a) for a in arrays]
+        if shapes != param_shapes(len(self.embedding), dims, bool(attn)):
+            raise DataError(f"parameter shapes {shapes} do not fit layer widths {dims}")
+        flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+        self._bind(flat, len(self.embedding), dims, bool(attn))
+
+    @classmethod
+    def of_flat(cls, flat: np.ndarray, vocab_size: int, dims: Sequence[int], attention: bool) -> ModelParams:
+        """Parameters viewing `flat`, of the total size `param_shapes` gives."""
+        params = cls.__new__(cls)
+        params._bind(flat, vocab_size, dims, attention)
+        return params
+
+    def _bind(self, flat: np.ndarray, vocab_size: int, dims: Sequence[int], attention: bool):
+        shapes = param_shapes(vocab_size, dims, attention)
+        ends = list(accumulate(map(math.prod, shapes), initial=0))
+        self.flat, self._views = flat, [flat[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
+        self.embedding, *layers = self._views[: len(dims) * 2 - 1]
+        self.proj_weights, self.proj_biases = tuple(layers[::2]), tuple(layers[1::2])
+        self.attn_q, self.attn_k, self.attn_v = self._views[len(dims) * 2 - 1 :] or (None, None, None)
 
     @property
     def vocab_size(self) -> int:
@@ -214,32 +245,29 @@ class ModelParams:
         return self.proj_weights[-1].shape[1]
 
     @property
+    def dims(self) -> tuple[int, ...]:
+        """The layer widths, the embedding width first."""
+        return (self.d_emb, *(w.shape[1] for w in self.proj_weights))
+
+    @property
     def has_attention(self) -> bool:
         return self.attn_q is not None
 
+    @property
+    def projector(self) -> np.ndarray:
+        """The projector's weights and biases: one contiguous view of `flat`."""
+        start = self.embedding.size
+        return self.flat[start : start + sum(a.size for a in (*self.proj_weights, *self.proj_biases))]
+
     def arrays(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order (shared with gradients)."""
-        out = [self.embedding]
-        for w, b in zip(self.proj_weights, self.proj_biases):
-            out.extend((w, b))
-        if self.has_attention:
-            out.extend((self.attn_q, self.attn_k, self.attn_v))
-        return out
+        """All parameter arrays, in `flat` order (shared with gradients)."""
+        return list(self._views)
 
-    def _map(self, fn) -> "ModelParams":
-        attn = (self.attn_q, self.attn_k, self.attn_v)
-        return ModelParams(
-            fn(self.embedding),
-            [fn(w) for w in self.proj_weights],
-            [fn(b) for b in self.proj_biases],
-            *(None if a is None else fn(a) for a in attn),
-        )
+    def copy(self) -> ModelParams:
+        return ModelParams.of_flat(self.flat.copy(), self.vocab_size, self.dims, self.has_attention)
 
-    def copy(self) -> "ModelParams":
-        return self._map(np.copy)
-
-    def zeros_like(self) -> "ModelParams":
-        return self._map(np.zeros_like)
+    def zeros_like(self) -> ModelParams:
+        return ModelParams.of_flat(np.zeros_like(self.flat), self.vocab_size, self.dims, self.has_attention)
 
 
 def init_params(
@@ -382,9 +410,9 @@ def _attend_backward(params: ModelParams, cache, dy: np.ndarray, grads: ModelPar
 def _project_backward(params: ModelParams, acts: list[np.ndarray], g: np.ndarray, grads: ModelParams):
     """Accumulate projector gradients; returns dL/dz from dL/dh over the same rows."""
     for i in range(len(params.proj_weights) - 1, -1, -1):
-        x_in = acts[i]
-        grads.proj_weights[i] += x_in.T @ g
-        grads.proj_biases[i] += g.sum(axis=0)
+        x_in, dw, db = acts[i], grads.proj_weights[i], grads.proj_biases[i]
+        dw += x_in.T @ g
+        db += g.sum(axis=0)
         g = g @ params.proj_weights[i].T
         if i > 0:
             g = g * (1.0 - x_in * x_in)  # tanh'
@@ -517,32 +545,21 @@ def grad_check(
     if not np.isfinite(loss0):
         raise NumericError("loss is non-finite at the evaluation point")
 
-    arrays = params.arrays()
-    grad_arrays = grads.arrays()
-    sizes = [a.size for a in arrays]
-    total = sum(sizes)
+    total = params.flat.size
     rng = np.random.default_rng(seed)
-    if total <= n_coords:
-        coords = np.arange(total)
-    else:
-        coords = rng.choice(total, size=n_coords, replace=False)
+    coords = np.arange(total) if total <= n_coords else rng.choice(total, size=n_coords, replace=False)
 
-    offsets = np.cumsum([0] + sizes)
     max_rel = 0.0
     probe = params.copy()
-    probe_arrays = probe.arrays()
-    for flat in sorted(int(c) for c in coords):
-        ai = int(np.searchsorted(offsets, flat, side="right") - 1)
-        local = flat - offsets[ai]
-        idx = np.unravel_index(local, probe_arrays[ai].shape)
-        orig = probe_arrays[ai][idx]
-        probe_arrays[ai][idx] = orig + eps
+    for i in sorted(int(c) for c in coords):
+        orig = probe.flat[i]
+        probe.flat[i] = orig + eps
         loss_plus = loss_and_param_grads(probe, batch, cfg)[0]
-        probe_arrays[ai][idx] = orig - eps
+        probe.flat[i] = orig - eps
         loss_minus = loss_and_param_grads(probe, batch, cfg)[0]
-        probe_arrays[ai][idx] = orig
+        probe.flat[i] = orig
         numeric = (loss_plus - loss_minus) / (2.0 * eps)
-        analytic = grad_arrays[ai][idx]
+        analytic = grads.flat[i]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
         max_rel = max(max_rel, rel)
     return max_rel

@@ -219,7 +219,8 @@ class LabelIndex:
     rows: np.ndarray  # (labels, d_out) projected label rows, inventory order
     tokens: np.ndarray  # the distinct label token ids (np.intp) the rows depend on
     embedding_rows: np.ndarray  # copy of the embedding rows of `tokens`
-    projector: tuple[np.ndarray, ...]  # copies of the projector weights, then its biases
+    dims: tuple[int, ...]  # the model's layer widths
+    projector: np.ndarray  # copy of the projector's slice of the parameter vector
 
     def rank(self, params: ModelParams, utterances: Sequence[Sequence[int]]) -> list[Ranking]:
         """The ranking of each utterance, given as its token ids
@@ -232,10 +233,8 @@ class LabelIndex:
             return False
         if not (self.vocab is vocab or self.vocab == vocab):
             return False
-        current = (params.embedding[self.tokens], *params.proj_weights, *params.proj_biases)
-        return len(current) == 1 + len(self.projector) and all(
-            map(_same_bits, current, (self.embedding_rows, *self.projector))
-        )
+        current = (params.embedding[self.tokens], params.projector)
+        return params.dims == self.dims and all(map(_same_bits, current, (self.embedding_rows, self.projector)))
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -255,8 +254,8 @@ def encode_inventory(params: ModelParams, vocab: Vocabulary, labels: Sequence[In
     spans = [seq.token_ids[s:e] for s, e in seq.slot_spans]
     tokens = np.unique(np.concatenate(spans)).astype(np.intp)
     ids, rows = np.array([lab.id for lab in labels]), encode_spans(params, spans)
-    projector = tuple(np.copy(a) for a in (*params.proj_weights, *params.proj_biases))
-    return LabelIndex(tuple(labels), vocab, ids, rows, tokens, params.embedding[tokens], projector)
+    copies = (params.embedding[tokens], params.dims, params.projector.copy())
+    return LabelIndex(tuple(labels), vocab, ids, rows, tokens, *copies)
 
 
 _memo: LabelIndex | None = None  # the last inventory `predict` scored without attention
@@ -267,12 +266,12 @@ def _indexed(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabe
     its label rows were computed from the values `params` holds now.
 
     Nothing is keyed on the `ModelParams` object, which training mutates in
-    place: every call compares the label tokens' embedding rows and every
-    projector array, bit for bit, against the index's copies. A published
-    index holds no NaN (its rows would not have been finite), so parameters
-    a NaN entered are encoded again and raise as they would uncached. The
-    entry is read once and replaced whole, so concurrent callers may
-    rebuild it in turn but never mix two models.
+    place: every call compares the layer widths, and the label tokens'
+    embedding rows and the projector bit for bit, against the index's copies.
+    A published index holds no NaN (its rows would not have been finite), so
+    parameters a NaN entered are encoded again and raise as they would
+    uncached. The entry is read once and replaced whole, so concurrent
+    callers may rebuild it in turn but never mix two models.
     """
     global _memo
     labels = tuple(labels)

@@ -8,8 +8,9 @@ paraphrase pretraining feeds its own items to `fit_items`.
 Every epoch runs each plan as built, `shuffles_per_sequence` (default k)
 times, in seeded order; each batch is laid out from word ids computed once
 a run. It steps SGD or Adam on exact batch gradients and tracks the best
-epoch by dev accuracy or training loss. Checkpoints
-serialize parameters and vocabulary bit-exactly.
+epoch by dev accuracy or training loss. Optimizers and checkpoints handle the
+parameters as the one vector `ModelParams.flat`: a step is one pass over it,
+and a checkpoint stores it, with the vocabulary, bit-exactly.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .encoder import (
     init_params,
     lay_out,
     loss_and_param_grads,
+    param_shapes,
     plan_word_ids,
 )
 from .encoder import tokenize  # noqa: F401  perfbench/layers.py traces it here
@@ -135,31 +137,29 @@ class _Sgd:
         self.lr = lr
 
     def step(self, params: ModelParams, grads: ModelParams):
-        for a, g in zip(params.arrays(), grads.arrays()):
-            a -= self.lr * g
+        params.flat -= self.lr * grads.flat
 
 
 class _Adam:
     def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
-        self.m: list[np.ndarray] | None = None
-        self.v: list[np.ndarray] | None = None
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
     def step(self, params: ModelParams, grads: ModelParams):
-        arrays = params.arrays()
         if self.m is None:
-            self.m = [np.zeros_like(a) for a in arrays]
-            self.v = [np.zeros_like(a) for a in arrays]
+            self.m = np.zeros_like(params.flat)
+            self.v = np.zeros_like(params.flat)
         self.t += 1
         b1t = 1.0 - self.beta1**self.t
         b2t = 1.0 - self.beta2**self.t
-        for a, g, m, v in zip(arrays, grads.arrays(), self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            a -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+        m, v, g = self.m, self.v, grads.flat
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        params.flat -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
 
 
 def _make_optimizer(cfg: TrainConfig):
@@ -274,8 +274,9 @@ def train(
 #
 # Layout (little-endian): 8-byte magic, u32 version, u32 flags (bit 0 =
 # attention), u32 projector depth, u32 vocab size, then depth+1 u32 layer
-# dims, a length-prefixed UTF-8 JSON token list, each parameter array as
-# row-major float64, and a trailing CRC32 of everything before it.
+# dims, a length-prefixed UTF-8 JSON token list, the parameter vector
+# (`ModelParams.flat`: every array row-major, in `param_shapes` order) as
+# float64, and a trailing CRC32 of everything before it.
 
 _MAGIC = b"FEWINTC\x01"
 _VERSION = 1
@@ -286,19 +287,15 @@ def save_checkpoint(params: ModelParams, vocab: Vocabulary, path: str | Path) ->
         raise CheckpointError(
             f"params cover {params.vocab_size} tokens, vocabulary has {len(vocab)}"
         )
-    depth = len(params.proj_weights)
-    dims = [params.d_emb] + [w.shape[1] for w in params.proj_weights]
+    dims = params.dims
     blob = json.dumps(list(vocab.tokens), ensure_ascii=False).encode("utf-8")
 
-    out = bytearray()
-    out += _MAGIC
-    out += struct.pack("<III", _VERSION, 1 if params.has_attention else 0, depth)
-    out += struct.pack("<I", params.vocab_size)
+    out = bytearray(_MAGIC)
+    out += struct.pack("<IIII", _VERSION, 1 if params.has_attention else 0, len(dims) - 1, params.vocab_size)
     out += struct.pack(f"<{len(dims)}I", *dims)
     out += struct.pack("<I", len(blob))
     out += blob
-    for a in params.arrays():
-        out += np.ascontiguousarray(a, dtype="<f8").tobytes()
+    out += params.flat.astype("<f8", copy=False).tobytes()
     out += struct.pack("<I", zlib.crc32(bytes(out)))
     Path(path).write_bytes(bytes(out))
 
@@ -327,10 +324,9 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary]:
         off += size
         return vals
 
-    version, flags, depth = take("<III")
+    version, flags, depth, vocab_size = take("<IIII")
     if version != _VERSION:
         raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-    (vocab_size,) = take("<I")
     dims = list(take(f"<{depth + 1}I"))
     (blob_len,) = take("<I")
     if off + blob_len > len(raw) - 4:
@@ -343,32 +339,18 @@ def load_checkpoint(path: str | Path) -> tuple[ModelParams, Vocabulary]:
         raise CheckpointError(f"{path}: vocabulary is not a list of strings")
     off += blob_len
 
-    def read_array(shape):
-        nonlocal off
-        size = math.prod(shape) * 8
-        if off + size > len(raw) - 4:
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        a = np.frombuffer(raw[off : off + size], dtype="<f8").reshape(shape).copy()
-        off += size
-        return a
-
-    embedding = read_array((vocab_size, dims[0]))
-    weights = []
-    biases = []
-    for i in range(depth):
-        weights.append(read_array((dims[i], dims[i + 1])))
-        biases.append(read_array((dims[i + 1],)))
-    attn = (None, None, None)
-    if flags & 1:
-        attn = tuple(read_array((dims[0], dims[0])) for _ in range(3))
-    if off != len(raw) - 4:
-        raise CheckpointError(f"{path}: trailing bytes in checkpoint")
-
+    attention = bool(flags & 1)
     try:
-        params = ModelParams(embedding, weights, biases, *attn)
+        shapes = param_shapes(vocab_size, dims, attention)
         vocab = Vocabulary(tuple(tokens))
     except DataError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
+    count = sum(map(math.prod, shapes))
+    if off + 8 * count > len(raw) - 4:
+        raise CheckpointError(f"{path}: truncated checkpoint")
+    if off + 8 * count != len(raw) - 4:
+        raise CheckpointError(f"{path}: trailing bytes in checkpoint")
     if len(vocab) != vocab_size:
         raise CheckpointError(f"{path}: vocabulary size disagrees with header")
-    return params, vocab
+    flat = np.frombuffer(raw, dtype="<f8", count=count, offset=off).astype(np.float64)
+    return ModelParams.of_flat(flat, vocab_size, dims, attention), vocab

@@ -1,3 +1,4 @@
+import json
 import os
 import struct
 import subprocess
@@ -37,6 +38,25 @@ def restamp_vocab_blob(path, blob):
     len_at = 24 + 4 * (depth + 1)  # after the vocab size and the layer dims
     (old_len,) = struct.unpack_from("<I", raw, len_at)
     body = raw[:len_at] + struct.pack("<I", len(blob)) + blob + raw[len_at + 4 + old_len : -4]
+    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def write_checkpoint(path, tokens, dims, attention=False):
+    """A checkpoint written field by field, with layer widths `dims` and a
+    zero payload of the size they give, after the layout documented above
+    `save_checkpoint`; it writes what `save_checkpoint` refuses to."""
+    vocab_size = len(tokens) + 4  # the reserved tokens come first
+    count = vocab_size * dims[0] + sum(a * b + b for a, b in zip(dims, dims[1:]))
+    count += 3 * dims[0] ** 2 if attention else 0
+    blob = json.dumps(list(tokens)).encode("utf-8")
+    body = b"".join([
+        b"FEWINTC\x01",
+        struct.pack("<IIII", 1, int(attention), len(dims) - 1, vocab_size),
+        struct.pack(f"<{len(dims)}I", *dims),
+        struct.pack("<I", len(blob)),
+        blob,
+        bytes(8 * count),
+    ])
     Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 

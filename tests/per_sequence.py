@@ -103,9 +103,9 @@ def backward(params, cache, dh_u, dh_slots, grads):
     g = np.vstack([dh_u[None, :], dh_slots])
     last = len(params.proj_weights) - 1
     for i in range(last, -1, -1):
-        x_in = acts[i]
-        grads.proj_weights[i] += x_in.T @ g
-        grads.proj_biases[i] += g.sum(axis=0)
+        x_in, dw, db = acts[i], grads.proj_weights[i], grads.proj_biases[i]
+        dw += x_in.T @ g
+        db += g.sum(axis=0)
         g = g @ params.proj_weights[i].T
         if i > 0:
             g = g * (1.0 - x_in * x_in)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import child_env, restamp_vocab_blob, run_cli
+from conftest import child_env, restamp_vocab_blob, run_cli, write_checkpoint
 
 TINY = ["--d-emb", "8", "--d-hidden", "8", "--d-out", "8", "--epochs", "2"]
 
@@ -297,22 +297,35 @@ class TestExitCodes:
         assert out.returncode == 3
         assert "numeric" in out.stderr
 
-    def test_bad_checkpoint_vocab_is_2(self, synth_dir):
+    @pytest.mark.parametrize(
+        "dims, attention, message",
+        [
+            (None, False, "vocabulary is not UTF-8 JSON"),
+            ((0, 8), False, "widths >= 1"),
+            ((8, 0, 8), False, "widths >= 1"),
+            ((0, 8), True, "widths >= 1"),
+        ],
+        ids=["vocab-not-utf8", "zero-width-embedding", "zero-width-hidden", "zero-width-attention"],
+    )
+    def test_bad_checkpoint_is_2(self, synth_dir, dims, attention, message):
         from fewintent.corpus import load_dataset
         from fewintent.encoder import build_vocab, init_params
         from fewintent.trainer import save_checkpoint
 
         data = load_dataset(synth_dir / "data/train.jsonl", "jsonl")
         vocab = build_vocab([data])
-        save_checkpoint(init_params(len(vocab), 8, 8, 8), vocab, synth_dir / "bad.ckpt")
-        restamp_vocab_blob(synth_dir / "bad.ckpt", b"\xff\xfe not utf-8")
+        if dims is None:
+            save_checkpoint(init_params(len(vocab), 8, 8, 8), vocab, synth_dir / "bad.ckpt")
+            restamp_vocab_blob(synth_dir / "bad.ckpt", b"\xff\xfe not utf-8")
+        else:  # a file that loaded before widths below 1 were rejected
+            write_checkpoint(synth_dir / "bad.ckpt", vocab.tokens, dims, attention)
         out = run_cli(
             ["train", "--train", "data/train.jsonl", "--k", "4", "--k-min", "2",
              *TINY, "--init", "bad.ckpt", "--out", "t.jsonl"],
             cwd=synth_dir,
         )
         assert out.returncode == 2
-        assert "data error" in out.stderr
+        assert "data error" in out.stderr and message in out.stderr
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize(

@@ -386,9 +386,8 @@ class TestLabelIndexMemo:
         params.embedding[: len(self.vocab)] = self.params.embedding
         assert self.check(params, wider) is not first
         first = self.check()
-        deeper = self.params.copy()
-        deeper.proj_weights.append(np.eye(16))
-        deeper.proj_biases.append(np.zeros(16))
+        p = self.params
+        deeper = ModelParams(p.embedding, [*p.proj_weights, np.eye(16)], [*p.proj_biases, np.zeros(16)])
         assert self.check(deeper) is not first
 
     @pytest.mark.parametrize(

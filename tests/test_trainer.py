@@ -19,7 +19,7 @@ from fewintent.encoder import (
 )
 from fewintent.errors import CheckpointError, DataError, NumericError
 from fewintent.evaluator import generate_synthetic
-from fewintent.sequencer import augment_shuffles, build_plans, partition_intents
+from fewintent.sequencer import IntentGroup, SequencePlan, augment_shuffles, build_plans, partition_intents
 from fewintent.trainer import (
     TrainConfig,
     TrainItem,
@@ -34,6 +34,8 @@ from fewintent.trainer import (
 )
 
 from conftest import make_dataset, restamp_vocab_blob
+
+import per_array
 
 
 def small_cfg(**kw):
@@ -216,18 +218,23 @@ class TestTokenizeOnce:
     `tokenize` rejects before it trains."""
 
     @pytest.mark.parametrize(
-        "text, surfaces, order",
+        "text, surfaces, order, slots",
         [
-            ("...", ("card arrival", "freeze"), (0, 1)),
-            ("freeze card", ("card arrival", "??"), (0, 1)),
-            ("freeze card", ("card arrival", "freeze"), (1, 0)),
-            ("freeze card", ("card arrival", "freeze"), (0, 1, 1)),  # no plan shows the third label
+            ("...", ("card arrival", "freeze"), (0, 1), None),
+            ("freeze card", ("card arrival", "??"), (0, 1), None),
+            ("freeze card", ("card arrival", "freeze"), (1, 0), None),
+            ("freeze card", ("card arrival", "freeze"), (0, 1, 1), None),  # no plan shows the third label
+            ("freeze card", ("card arrival", "freeze"), (0,), None),  # the plans show intent 1
+            ("freeze card", ("card arrival", "freeze"), (0, 1), (0, -2)),
         ],
-        ids=["utterance-without-tokens", "label-without-tokens", "labels-out-of-order", "duplicate-label-id"],
+        ids=["utterance-without-tokens", "label-without-tokens", "labels-out-of-order", "duplicate-label-id",
+             "intent-past-the-labels", "negative-intent"],
     )
-    def test_tokenize_errors_end_the_run(self, text, surfaces, order):
+    def test_tokenize_errors_end_the_run(self, text, surfaces, order, slots):
         labels = tuple(IntentLabel(i, f"l{i}", surfaces[i]) for i in range(2))
         plans = tuple(build_plans(LabeledUtterance(text, 0), partition_intents(labels, 2)))
+        if slots is not None:  # one hand-built plan showing `slots`
+            plans = (SequencePlan(LabeledUtterance(text, 0), IntentGroup(0, slots), 0),)
         vocab = build_vocab([["freeze card arrival"]])
         items = [TrainItem(tuple(labels[i] for i in order), plans)]
         with pytest.raises(DataError):
@@ -246,6 +253,53 @@ class TestOptimizers:
         grads.embedding[1, 2] = 1.0
         opt.step(params, grads)
         assert not np.array_equal(params.embedding, before.embedding)
+
+    @pytest.mark.parametrize("attention", [False, True], ids=["plain", "attention"])
+    @pytest.mark.parametrize("vocab_size", [100, 2000])
+    @pytest.mark.parametrize(
+        "flat_cls, ref_cls", [(_Sgd, per_array.Sgd), (_Adam, per_array.Adam)], ids=["sgd", "adam"]
+    )
+    def test_one_vector_step_equals_per_array_step(self, flat_cls, ref_cls, vocab_size, attention):
+        params = init_params(vocab_size, seed=1, attention=attention)
+        ref = params.copy()
+        flat_opt, ref_opt = flat_cls(1e-2), ref_cls(1e-2)
+        rng = np.random.default_rng(vocab_size)
+        for _ in range(200):
+            grads = params.zeros_like()
+            grads.flat[:] = rng.normal(size=grads.flat.size)
+            grads.embedding[rng.random(vocab_size) < 0.9] = 0.0  # a batch touches few rows
+            flat_opt.step(params, grads)
+            ref_opt.step(ref, grads)
+            assert all(map(np.array_equal, params.arrays(), ref.arrays()))
+
+
+class TestFlatLayout:
+    """Every parameter array is a view of `ModelParams.flat`, and the
+    checkpoint payload is that vector."""
+
+    @staticmethod
+    def assert_views(params):
+        assert all(np.shares_memory(a, params.flat) for a in params.arrays())
+        assert sum(a.size for a in params.arrays()) == params.flat.size
+
+    @pytest.mark.parametrize("attention", [False, True], ids=["plain", "attention"])
+    def test_arrays_stay_views_of_the_vector(self, tmp_path, attention):
+        vocab = Vocabulary(("a", "b", "c"))
+        params = init_params(len(vocab), 6, 5, 4, depth=3, seed=2, attention=attention)
+        self.assert_views(params)
+        self.assert_views(params.copy())
+        self.assert_views(params.zeros_like())
+        save_checkpoint(params, vocab, tmp_path / "m.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        self.assert_views(loaded)
+        grads = params.zeros_like()
+        grads.flat[:] = 1.0
+        for opt in (_Sgd(0.1), _Adam(0.1)):
+            opt.step(params, grads)
+            self.assert_views(params)
+        payload = b"".join(np.ascontiguousarray(a, "<f8").tobytes() for a in params.arrays())
+        save_checkpoint(params, vocab, tmp_path / "m.ckpt")
+        assert (tmp_path / "m.ckpt").read_bytes()[-4 - len(payload) : -4] == payload
 
 
 class TestCheckpoint:

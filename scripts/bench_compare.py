@@ -16,6 +16,11 @@ differ by more than the parent's interquartile range, every change run of
 that workload passed its output check, and the change failed no more
 operations there than the parent.
 
+The pairs, the claim and the seeds are checked before the first run; a bad
+one exits 2. The record's `parent` is the commit checked out in the parent
+tree or, for a copy such as a `git archive` export, `--parent-sha`; with
+neither, the script exits 2.
+
     python3 scripts/bench_compare.py --parent ../parent --change . \\
         --label label_index --pairs predict_c150=5 train_b77=3 --seeds 41 42 43 44 45 \\
         --claim predict_c150:predict_ms_p90
@@ -131,8 +136,34 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def git_sha(tree: Path) -> str | None:
-    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
-    return out.stdout.strip() or None
+    """The commit checked out in `tree`, or None when it is not a checkout."""
+    try:
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=tree, capture_output=True, text=True)
+    except OSError:
+        return None
+    return out.stdout.strip() if out.returncode == 0 else None
+
+
+def parse_plan(pairs: list[str], claimed: str | None, spec: dict) -> list[tuple[str, int]]:
+    """The (workload, count) of each `--pairs` entry, after checking every
+    entry and the claim against `spec`; a `ValueError` names the first bad one."""
+    workloads = [w["name"] for w in spec["workloads"]]
+    plan = []
+    for entry in pairs:
+        workload, _, count = entry.partition("=")
+        if workload not in workloads or not count.isdigit() or int(count) < 1:
+            raise ValueError(f"--pairs entry {entry!r} is not WORKLOAD=COUNT with a count >= 1 "
+                             f"and a workload of BENCHMARK.json: {', '.join(workloads)}")
+        if workload in (w for w, _ in plan):
+            raise ValueError(f"--pairs names {workload} twice")
+        plan.append((workload, int(count)))
+    if claimed is not None:
+        workload, _, metric = claimed.partition(":")
+        metrics = [m["name"] for m in spec["end_to_end"]]
+        if workload not in (w for w, _ in plan) or metric not in metrics:
+            raise ValueError(f"--claim {claimed!r} is not WORKLOAD:METRIC with a workload of --pairs "
+                             f"and an end-to-end metric: {', '.join(metrics)}")
+    return plan
 
 
 def main(argv=None) -> int:
@@ -145,13 +176,21 @@ def main(argv=None) -> int:
                     help="seed of each pair, reused in order by every workload")
     ap.add_argument("--seconds", type=float, default=26)
     ap.add_argument("--claim", default=None, help="WORKLOAD:METRIC the change claims to improve")
+    ap.add_argument("--parent-sha", default=None,
+                    help="the parent's commit, for a parent tree that is not a git checkout")
     ap.add_argument("--out-dir", type=Path, default=Path("."))
     args = ap.parse_args(argv)
 
-    plan = [(w, int(n)) for w, n in (p.split("=") for p in args.pairs)]
+    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    try:
+        plan = parse_plan(args.pairs, args.claim, spec)
+    except ValueError as exc:
+        ap.error(str(exc))
     if max(n for _, n in plan) > len(args.seeds):
         ap.error("more pairs than seeds")
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    parent = git_sha(args.parent) or args.parent_sha
+    if parent is None:
+        ap.error(f"{args.parent} is not a git checkout: pass --parent-sha")
     runs, env = [], None
     index = 0
     for workload, count in plan:
@@ -167,7 +206,7 @@ def main(argv=None) -> int:
     summary = summarize(runs, spec["end_to_end"])
     record = {
         "label": args.label,
-        "parent": git_sha(args.parent),
+        "parent": parent,
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds:g} --trace 0",
         "protocol": "parent and change run from separate copies of the tree, one run at a time; "
                     "pairs alternate which side runs first, in the order listed; one BLAS thread; "

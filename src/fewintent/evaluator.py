@@ -5,7 +5,9 @@ used by the experiment scripts and the acceptance suite."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,19 +38,23 @@ _FILLERS = (
 )
 
 
-Ranking = tuple[tuple[int, float], ...]  # (intent_id, score), scores non-increasing
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Prediction:
-    """Full ranking of the intent inventory for one utterance."""
+    """One utterance's read-only row of scores, indexed by intent id, with its
+    top intent and its (intent_id, score) ranking by score descending, built
+    on the first read; ties (`0.0` with `-0.0` too) go to the lower id."""
 
     utterance_id: int
-    ranking: Ranking
+    scores: np.ndarray
 
     @property
     def predicted(self) -> int:
-        return self.ranking[0][0]
+        return int(self.scores.argmax())  # the first maximum: the lowest tied id
+
+    @cached_property
+    def ranking(self) -> tuple[tuple[int, float], ...]:
+        order = np.argsort(-self.scores, kind="stable")
+        return tuple(zip(order.tolist(), self.scores[order].tolist()))
 
 
 @dataclass
@@ -85,8 +91,7 @@ def predict(
     k: int,
     utterance_id: int = -1,
 ) -> Prediction:
-    """Rank all intents by cosine similarity to the utterance; ties break on
-    the lower intent id.
+    """Score all intents by cosine similarity to the utterance (see `Prediction`).
 
     The utterance is scored against each of the m canonical-order groups and
     candidates compete globally across sequences; placeholder slots never
@@ -118,17 +123,7 @@ def predict_dataset(params: ModelParams, vocab: Vocabulary, data: Dataset, k: in
     encoded once for the whole dataset, with attention the sequences are
     scored in passes of many utterances (see `_rankings`)."""
     texts = [ex.text for ex in data.examples]
-    return [Prediction(i, r) for i, r in enumerate(_rankings(params, vocab, texts, data.labels, k))]
-
-
-def _ranked(ids: np.ndarray, scores: np.ndarray) -> list[Ranking]:
-    """Each row of `scores` (inventory order) as a ranking: by score
-    descending, then intent id ascending."""
-    rankings = []
-    for row in scores:
-        order = np.lexsort((ids, -row))
-        rankings.append(tuple(zip(ids[order].tolist(), row[order].tolist())))
-    return rankings
+    return [Prediction(i, row) for i, row in enumerate(_rankings(params, vocab, texts, data.labels, k))]
 
 
 def _rankings(
@@ -138,14 +133,15 @@ def _rankings(
     labels: Sequence[IntentLabel],
     k: int,
     index: Callable[[ModelParams, Vocabulary, Sequence[IntentLabel]], LabelIndex] | None = None,
-) -> list[Ranking]:
-    """The `predict` ranking of each of `texts`.
+) -> np.ndarray:
+    """The `predict` scores of `texts`: a read-only (texts, labels) matrix,
+    one row per utterance, indexed by intent id, and nothing sorted.
 
     Every input check runs before any numeric work: k and the inventory,
     every utterance's tokens and the labels (as `tokenize` checks them), so
     bad input is a `DataError` whatever values the parameters hold.
 
-    Without attention the utterances are ranked by the inventory's
+    Without attention the utterances are scored by the inventory's
     `LabelIndex`, from `index(params, vocab, labels)` (default
     `encode_inventory`). With attention a label's row depends on the
     utterance, so each (utterance, group) pair is its own sequence. Each
@@ -157,10 +153,12 @@ def _rankings(
     """
     groups = partition_intents(labels, k)
     if not texts:
-        return []
+        return np.empty((0, len(labels)))
     utterances = [utterance_token_ids(text, vocab) for text in texts]
     if not params.has_attention:
-        return (index or encode_inventory)(params, vocab, labels).rank(params, utterances)
+        scores = (index or encode_inventory)(params, vocab, labels).rank(params, utterances)
+        scores.flags.writeable = False
+        return scores
     tails = []  # each group's sequence after the utterance: token ids, slot spans, slots
     for group in groups:
         seq = tokenize(inference_plan(texts[0], group), labels, vocab)
@@ -180,7 +178,8 @@ def _rankings(
         rows = iter(encode_sequences(params, seqs).reshape(len(seqs), -1, params.d_out))
         for i in batch:
             scores[i] = np.concatenate([cosine_sim(h[0], h[1:][real]) for real, h in zip(reals, rows)])
-    return _ranked(np.array([lab.id for lab in labels]), scores)
+    scores.flags.writeable = False
+    return scores
 
 
 # Token positions per attention scoring pass: a pass holds whole utterances,
@@ -215,17 +214,16 @@ class LabelIndex:
 
     labels: tuple[IntentLabel, ...]
     vocab: Vocabulary
-    ids: np.ndarray  # intent ids, inventory order
     rows: np.ndarray  # (labels, d_out) projected label rows, inventory order
     tokens: np.ndarray  # the distinct label token ids (np.intp) the rows depend on
     embedding_rows: np.ndarray  # copy of the embedding rows of `tokens`
     dims: tuple[int, ...]  # the model's layer widths
     projector: np.ndarray  # copy of the projector's slice of the parameter vector
 
-    def rank(self, params: ModelParams, utterances: Sequence[Sequence[int]]) -> list[Ranking]:
-        """The ranking of each utterance, given as its token ids
+    def rank(self, params: ModelParams, utterances: Sequence[Sequence[int]]) -> np.ndarray:
+        """The (utterances, labels) scores of utterances given as token ids
         (`utterance_token_ids`), each encoded with `params`."""
-        return _ranked(self.ids, cosine_sim(encode_spans(params, utterances), self.rows))
+        return cosine_sim(encode_spans(params, utterances), self.rows)
 
     def serves(self, params: ModelParams, vocab: Vocabulary, labels: tuple[IntentLabel, ...]) -> bool:
         """Whether this index is what `encode_inventory(params, vocab, labels)` gives."""
@@ -253,9 +251,8 @@ def encode_inventory(params: ModelParams, vocab: Vocabulary, labels: Sequence[In
     seq = tokenize(inference_plan("labels", partition_intents(labels, len(labels))[0]), labels, vocab)
     spans = [seq.token_ids[s:e] for s, e in seq.slot_spans]
     tokens = np.unique(np.concatenate(spans)).astype(np.intp)
-    ids, rows = np.array([lab.id for lab in labels]), encode_spans(params, spans)
     copies = (params.embedding[tokens], params.dims, params.projector.copy())
-    return LabelIndex(tuple(labels), vocab, ids, rows, tokens, *copies)
+    return LabelIndex(tuple(labels), vocab, encode_spans(params, spans), tokens, *copies)
 
 
 _memo: LabelIndex | None = None  # the last inventory `predict` scored without attention
@@ -282,13 +279,8 @@ def _indexed(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabe
 
 
 def _per_intent_accuracy(all_preds, all_gold) -> dict[int, float]:
-    hits: dict[int, int] = {}
-    totals: dict[int, int] = {}
-    for pred, gold in zip(all_preds, all_gold):
-        totals[gold] = totals.get(gold, 0) + 1
-        if pred.predicted == gold:
-            hits[gold] = hits.get(gold, 0) + 1
-    return {iid: 100.0 * hits.get(iid, 0) / n for iid, n in totals.items()}
+    hits = Counter(gold for pred, gold in zip(all_preds, all_gold) if pred.predicted == gold)
+    return {iid: 100.0 * hits[iid] / n for iid, n in Counter(all_gold).items()}
 
 
 def evaluate_runs(

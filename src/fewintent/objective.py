@@ -29,6 +29,9 @@ class LossConfig:
             raise DataError(f"temperature must be positive and finite, got {self.tau}")
 
 
+COSINE_BLOCK = 2**16  # elements of `cosine_sim`'s product temporary (512 KiB of float64)
+
+
 def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """Cosine similarity of every row of `u` with every row of `v`, clamped
     into [-1, 1] against rounding. Each side is a vector or a (rows, d)
@@ -37,7 +40,9 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
 
     Dots and norms are elementwise products summed over the last axis, never
     a BLAS product, so entry (i, j) depends on the rows u[i] and v[j] alone
-    and scores the same bits however many rows stand beside them.
+    and scores the same bits however many rows stand beside them. Blocks of
+    u's rows are scored at a time, each (rows, L, d) product at most
+    `COSINE_BLOCK` elements, or one row when a row's product is larger.
     """
     u, v = np.asarray(u), np.asarray(v)
     us, vs = np.atleast_2d(u), np.atleast_2d(v)
@@ -46,8 +51,9 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     if not (nu.all() and nv.all()):
         raise NumericError("cosine similarity of a zero-norm vector")
     out = np.empty((len(us), len(vs)))
-    for i, row in enumerate(us):  # one (L, d) temporary at a time, not (U, L, d)
-        out[i] = (vs * row).sum(axis=-1)
+    step = max(1, COSINE_BLOCK // max(vs.size, 1))
+    for a in range(0, len(us), step):
+        out[a:a + step] = (us[a:a + step, None, :] * vs).sum(axis=-1)
     out /= nu[:, None] * nv
     scores = np.clip(out, -1.0, 1.0, out=out).reshape(u.shape[:-1] + v.shape[:-1])
     return float(scores) if scores.ndim == 0 else scores

@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from fewintent.corpus import Dataset, IntentLabel, LabeledUtterance
 from fewintent.encoder import (
@@ -35,6 +36,7 @@ from fewintent.trainer import TrainConfig
 
 from conftest import make_dataset
 
+import per_row
 import per_sequence
 
 
@@ -81,6 +83,48 @@ class TestPredict:
         base = predict(params, vocab, data.examples[2].text, data.labels, k=3)
         again = predict(params, vocab, data.examples[2].text, data.labels, k=3)
         assert base.ranking == again.ranking
+
+
+class TestPredictionRows:
+    """A `Prediction` keeps its score row and builds its ranking on read; the
+    ranking and the top intent equal the per-row `lexsort` reference."""
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [0.5, 0.9, 0.5, 0.9, 0.1],  # exact ties, at the top and below it
+            [0.0, -0.0, 0.3, -0.0, 0.0],  # signed zeros tie as floats
+            [-0.0, 0.0, -0.2],
+            [0.25] * 6,  # every label tied
+            [0.7],  # one label
+            [-1.0, 1.0, 1.0, -1.0, 0.999],  # scores clipped at the ends
+        ],
+    )
+    def test_matches_the_lexsort_reference(self, row):
+        scores = np.array(row)
+        scores.flags.writeable = False
+        pred = evaluator.Prediction(3, scores)
+        ref = per_row.ranking(np.arange(len(row)), scores)
+        assert pred.ranking == ref and pred.predicted == ref[0][0]
+        assert [type(i) for i, _ in pred.ranking] == [int] * len(row)
+
+    @given(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=12))
+    def test_matches_the_lexsort_reference_on_any_tied_row(self, row):
+        pred = evaluator.Prediction(0, np.array(row))
+        ref = per_row.ranking(np.arange(len(row)), np.array(row))
+        assert pred.ranking == ref and pred.predicted == ref[0][0]
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_scores_are_read_only(self, attention):
+        data = make_dataset(n_intents=5, per_intent=2)
+        vocab = build_vocab([data])
+        params = init_params(len(vocab), seed=0, attention=attention)
+        preds = predict_dataset(params, vocab, data, 2)
+        preds.append(predict(params, vocab, data.examples[0].text, data.labels, 2))
+        for pred in preds:
+            with pytest.raises(ValueError, match="read-only"):
+                pred.scores[0] = 2.0
+            assert pred.ranking is pred.ranking  # built once, on the first read
 
 
 def grouped_ranking(params, vocab, text, labels, k, encode=encode):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from fewintent.encoder import SequenceEmbeddings
 from fewintent.errors import DataError, NumericError
 from fewintent.objective import (
+    COSINE_BLOCK,
     LossConfig,
     batch_loss,
     cosine_sim,
@@ -15,6 +16,7 @@ from fewintent.objective import (
 )
 from fewintent.sequencer import PLACEHOLDER
 
+import per_row
 import per_sequence
 
 
@@ -102,6 +104,30 @@ class TestCosineScores:
         u = np.array([[1.0425133694426776, -0.12853466294403426]])
         assert cosine_sim(u, u)[0, 0] == 1.0
         assert cosine_sim(u, -u)[0, 0] == -1.0
+
+    @pytest.mark.parametrize("n_u", ["1", "block-1", "block", "block+1", "300"])
+    def test_blocks_score_the_bits_of_the_per_row_loop(self, n_u):
+        rng = np.random.default_rng(7)
+        vs = rng.normal(size=(150, 64))
+        block = COSINE_BLOCK // vs.size
+        us = rng.normal(size=(eval(n_u, {"block": block}), 64))
+        assert block > 2 and np.array_equal(cosine_sim(us, vs), per_row.cosine_sim(us, vs))
+
+    def test_one_row_blocks_past_the_budget(self):
+        rng = np.random.default_rng(8)
+        vs = rng.normal(size=(300, 257))
+        assert vs.size > COSINE_BLOCK
+        us = rng.normal(size=(3, 257))
+        assert np.array_equal(cosine_sim(us, vs), per_row.cosine_sim(us, vs))
+        assert np.array_equal(cosine_sim(us[0], vs), per_row.cosine_sim(us[0], vs))
+
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_vector_shapes_score_the_bits_of_the_per_row_loop(self, d):
+        rng = np.random.default_rng(d)
+        us, vs = rng.normal(size=(5, d)), rng.normal(size=(7, d))
+        for u, v in [(us[0], vs[0]), (us[0], vs), (us, vs[0])]:
+            got, ref = cosine_sim(u, v), per_row.cosine_sim(u, v)
+            assert type(got) is type(ref) and np.array_equal(got, ref)
 
     @pytest.mark.parametrize("side", ["us", "vs"])
     def test_zero_norm_row_raises(self, side):

@@ -3,6 +3,7 @@ prints its header line. The benchmark comparison's summary is checked on
 fixed runs, without running the benchmark."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -140,3 +141,57 @@ def test_bench_compare_unresolved_when_the_parent_spreads_past_the_bound():
     end_to_end[0]["better"] = "higher"
     assert not summary(parent, [1.5] * 10)["unresolved"]
     assert summary(parent, [0.6] * 10)["unresolved"]
+
+
+def _refuse_runs(monkeypatch, bc):
+    def run_once(*args):
+        raise AssertionError("the benchmark ran before its arguments were checked")
+
+    monkeypatch.setattr(bc, "run_once", run_once)
+
+
+@pytest.mark.parametrize(
+    "pairs, claim, message",
+    [
+        (["predict_c150"], None, "is not WORKLOAD=COUNT"),
+        (["predict_c151=2"], None, "is not WORKLOAD=COUNT"),
+        (["predict_c150=two"], None, "is not WORKLOAD=COUNT"),
+        (["predict_c150=0"], None, "is not WORKLOAD=COUNT"),
+        (["train_b77=1", "train_b77=2"], None, "names train_b77 twice"),
+        (["predict_c150=2"], "predict_c150:predict_utt_per_sec", "is not WORKLOAD:METRIC"),
+        (["predict_c150=2"], "train_b77:wall_s", "is not WORKLOAD:METRIC"),
+        (["predict_c150=2"], "predict_c150", "is not WORKLOAD:METRIC"),
+        (["predict_c150=3"], None, "more pairs than seeds"),
+    ],
+)
+def test_bench_compare_checks_pairs_and_claim_before_any_run(
+    monkeypatch, tmp_path, capsys, pairs, claim, message
+):
+    bc = _bench_compare()
+    _refuse_runs(monkeypatch, bc)
+    argv = ["--parent", str(tmp_path), "--change", str(SCRIPTS.parent), "--label", "x",
+            "--parent-sha", "abc123", "--seeds", "1", "2", "--out-dir", str(tmp_path), "--pairs", *pairs]
+    with pytest.raises(SystemExit) as exit_info:
+        bc.main(argv + ([] if claim is None else ["--claim", claim]))
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_bench_compare_names_the_parent_of_a_tree_without_git(monkeypatch, tmp_path, capsys):
+    bc = _bench_compare()
+    argv = ["--parent", str(tmp_path), "--change", str(SCRIPTS.parent), "--label", "x",
+            "--pairs", "predict_c150=2", "--seeds", "1", "2", "--out-dir", str(tmp_path)]
+    _refuse_runs(monkeypatch, bc)
+    with pytest.raises(SystemExit) as exit_info:
+        bc.main(argv)
+    assert exit_info.value.code == 2 and "pass --parent-sha" in capsys.readouterr().err
+
+    metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    result = {"metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in metrics},
+              "correct": True, "failed": 0, "attempted": 1}
+    monkeypatch.setattr(bc, "run_once", lambda *args: {"env": {"seed": 1}, "result": result})
+    assert bc.main(argv + ["--parent-sha", "abc123", "--claim", "predict_c150:wall_s"]) == 0
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert record["parent"] == "abc123" and len(record["runs"]) == 4
+    assert record["claim"]["pairs"] == 2 and not record["claim"]["met"]

@@ -5,8 +5,10 @@ and write the runs with their summary to BENCH_<label>.json.
 Each pair runs `python3 perfbench/run.py --workload W --seed N --seconds S
 --trace 0` once in each tree, one process at a time; even pairs run the
 parent first, odd pairs the change. Every run's environment and result line
-are kept. The summary gives each workload's end-to-end metrics as median,
-quartiles and run count per side, and how many pairs the change won, lost
+are kept; the record's shared `env` is the first run's without its seed and
+git commit, which differ by run and by side. The summary gives each
+workload's end-to-end metrics as median, quartiles and run count per side,
+and how many pairs the change won, lost
 and tied by the metric's `better` direction in BENCHMARK.json, whether
 the change's median is worse than the parent's by more than the metric's
 `bound`, and whether the parent's own spread is too wide for that bound to
@@ -198,7 +200,7 @@ def main(argv=None) -> int:
             sides = [("parent", args.parent), ("change", args.change)]
             for side, tree in sides if index % 2 == 0 else sides[::-1]:
                 run = run_once(tree, workload, seed, args.seconds)
-                env = env or {k: v for k, v in run["env"].items() if k != "seed"}
+                env = env or {k: v for k, v in run["env"].items() if k not in ("seed", "git_sha")}
                 runs.append({**run, "seed": seed, "side": side, "trace": 0, "workload": workload})
                 print(f"{workload} seed {seed} {side}: failed {run['result']['failed']}", file=sys.stderr)
             index += 1

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
 from .corpus import (
-    Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl,
+    Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl, write_jsonl,
 )
 from .encoder import build_vocab, utterance_token_ids
 from .errors import DataError, NumericError
@@ -45,6 +45,7 @@ from .pretrain import (
 from .trainer import (
     TrainConfig,
     dataset_items,
+    dev_split,
     fit_items,
     load_checkpoint,
     save_checkpoint,
@@ -88,7 +89,6 @@ _HYPERPARAMS = [
     Opt("shuffles", "int", _DEFAULTS.shuffles_per_sequence,
         "times each plan is repeated per epoch (default: k)"),
     Opt("optimizer", "str", _DEFAULTS.optimizer, "sgd or adam"),
-    Opt("selection", "str", _DEFAULTS.selection, "model selection: dev_accuracy or train_loss"),
     Opt("d_emb", "int", _DEFAULTS.d_emb, "embedding dimension"),
     Opt("d_hidden", "int", _DEFAULTS.d_hidden, "projector hidden dimension"),
     Opt("d_out", "int", _DEFAULTS.d_out, "projector output dimension"),
@@ -274,13 +274,13 @@ def _load_init(cfg: dict, tc: TrainConfig, explicit: set[str]):
     return params, vocab
 
 
-def _split(data: Dataset, cfg: dict) -> tuple[Dataset, Dataset | None]:
-    """(train, dev): the --dev file when given, else a --dev-fraction split of
-    `data`; a fraction of 0 or less means no dev set."""
+def _split(data: Dataset, cfg: dict, split=dev_split) -> tuple[Dataset, Dataset | None]:
+    """(train, dev): the --dev file when given, else a --dev-fraction `split` (by default
+    `dev_split`) of `data`; a fraction of 0 or less means no dev set."""
     if cfg.get("dev"):
         return data, _load(cfg["dev"], cfg)
     if cfg["dev_fraction"] > 0:
-        return split_dev(data, cfg["dev_fraction"], cfg["seed"])
+        return split(data, cfg["dev_fraction"], cfg["seed"])
     return data, None
 
 
@@ -300,17 +300,11 @@ def _top(labels, ranking, top: int = 5) -> list[dict]:
 def _write_predictions(path: str, data: Dataset, runs):
     """One record per run and test utterance; `runs` pairs each run's seed
     (None for a single unseeded run) with its predictions."""
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for seed, preds in runs:
-            for pred, ex in zip(preds, data.examples):
-                rec = {
-                    "utterance": ex.text,
-                    "gold": data.labels[ex.intent_id].raw_name,
-                    "top": _top(data.labels, pred.ranking),
-                }
-                if seed is not None:
-                    rec["seed"] = seed
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, (
+        {"utterance": ex.text, "gold": data.labels[ex.intent_id].raw_name,
+         "top": _top(data.labels, pred.ranking)} | ({} if seed is None else {"seed": seed})
+        for seed, preds in runs for pred, ex in zip(preds, data.examples)
+    ))
 
 
 # --- commands -----------------------------------------------------------------
@@ -491,7 +485,7 @@ def _cmd_predict(cfg: dict, explicit: set[str], writer: _Writer):
 
 def _cmd_sweep_k(cfg: dict, explicit: set[str], writer: _Writer):
     data = _load(cfg["train"], cfg)
-    train_data, dev_data = _split(data, cfg)
+    train_data, dev_data = _split(data, cfg, split_dev)  # the sweep scores a dev set of any size
     if dev_data is None or not dev_data.examples:
         raise DataError("sweep-k needs a non-empty dev set: pass --dev or a larger --dev-fraction")
     tc = _train_config(cfg)

@@ -182,14 +182,23 @@ def _rows_from_jsonl(path: Path) -> Iterable[tuple[int, str, str, str | None]]:
             yield lineno, text, label, domain
 
 
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+    """Write one sorted-key JSON object a line, UTF-8 with "\\n" line ends on
+    every platform; returns the number of records."""
+    count = 0
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        for count, rec in enumerate(records, start=1):  # streamed: one record in memory at a time
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    return count
+
+
 def write_dataset_jsonl(data: Dataset, path: Path):
     """Write `data` as the JSONL records `load_dataset` reads, each label by its raw name."""
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
-        for ex in data.examples:
-            rec = {"text": ex.text, "label": data.labels[ex.intent_id].raw_name}
-            if ex.domain is not None:
-                rec["domain"] = ex.domain
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, (
+        {"text": ex.text, "label": data.labels[ex.intent_id].raw_name}
+        | ({} if ex.domain is None else {"domain": ex.domain})
+        for ex in data.examples
+    ))
 
 
 def load_dataset(

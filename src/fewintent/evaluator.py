@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Dataset, IntentLabel, LabeledUtterance, sample_few_shot, split_dev
+from .corpus import Dataset, IntentLabel, LabeledUtterance, sample_few_shot
 from .encoder import (
     ModelParams,
     TokenizedSequence,
@@ -27,7 +27,7 @@ from .errors import DataError
 from .objective import cosine_sim
 from .pretrain import ParaphrasePair, TfidfIndex
 from .sequencer import PLACEHOLDER, inference_plan, partition_intents
-from .trainer import MIN_DEV_FOR_SELECTION, TrainConfig, train
+from .trainer import TrainConfig, dev_split, train
 
 # Filler words drawn into synthetic utterances; deliberately free of the
 # label-surface tokens ("topic", bare letters, digits).
@@ -42,9 +42,9 @@ _FILLERS = (
 class Prediction:
     """One utterance's read-only row of scores, indexed by intent id, with its
     top intent and its (intent_id, score) ranking by score descending, built
-    on the first read; ties (`0.0` with `-0.0` too) go to the lower id."""
+    on the first read; ties (`0.0` with `-0.0` too) go to the lower id. A
+    batch's predictions are in the order of its utterances."""
 
-    utterance_id: int
     scores: np.ndarray
 
     @property
@@ -89,7 +89,6 @@ def predict(
     text: str,
     labels: Sequence[IntentLabel],
     k: int,
-    utterance_id: int = -1,
 ) -> Prediction:
     """Score all intents by cosine similarity to the utterance (see `Prediction`).
 
@@ -102,7 +101,7 @@ def predict(
     `LabelIndex` of the last inventory scored, reused while the parameter
     values its label rows were computed from are unchanged (see `_indexed`).
     """
-    return Prediction(utterance_id, _rankings(params, vocab, [text], labels, k, _indexed)[0])
+    return Prediction(_rankings(params, vocab, [text], labels, k, _indexed)[0])
 
 
 def top1_accuracy(preds: Sequence[Prediction], data: Dataset) -> float:
@@ -123,7 +122,7 @@ def predict_dataset(params: ModelParams, vocab: Vocabulary, data: Dataset, k: in
     encoded once for the whole dataset, with attention the sequences are
     scored in passes of many utterances (see `_rankings`)."""
     texts = [ex.text for ex in data.examples]
-    return [Prediction(i, row) for i, row in enumerate(_rankings(params, vocab, texts, data.labels, k))]
+    return [Prediction(row) for row in _rankings(params, vocab, texts, data.labels, k)]
 
 
 def _rankings(
@@ -294,10 +293,10 @@ def evaluate_runs(
 ) -> EvalReport:
     """Run the sample-train-test protocol once per seed and aggregate accuracy.
 
-    Each run draws its own few-shot sample. When the dev cut would hold fewer
-    than MIN_DEV_FOR_SELECTION examples the run trains on the full sample and
-    selects by training loss instead. With `epochs=0` each run scores `init`
-    (or fresh parameters) as given.
+    Each run draws its own few-shot sample and holds out its `dev_split`, so a
+    run whose cut is too small to select on trains on the whole sample and
+    selects by training loss; a NaN `dev_fraction`, or one of 1 or more, is a
+    `DataError`. With `epochs=0` each run scores `init` (or fresh parameters) as given.
     """
     if not seeds:
         raise DataError("need at least one seed")
@@ -306,12 +305,7 @@ def evaluate_runs(
     accuracies = []
     run_preds: list[list[Prediction]] = []
     for seed in seeds:
-        sample = sample_few_shot(train_pool, shots, seed)
-        n_dev = int(dev_fraction * len(sample.examples) + 1e-9)
-        if n_dev >= MIN_DEV_FOR_SELECTION:
-            tr, dev = split_dev(sample, dev_fraction, seed)
-        else:
-            tr, dev = sample, None
+        tr, dev = dev_split(sample_few_shot(train_pool, shots, seed), dev_fraction, seed)
         params, _, vocab = train(tr, dev, replace(cfg, k=k, seed=seed), init=init)
         preds = predict_dataset(params, vocab, test_data, k)
         accuracies.append(top1_accuracy(preds, test_data))

@@ -9,7 +9,6 @@ sentences mined from the corpus. Each task is a `TrainItem` for
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -20,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import IntentLabel, LabeledUtterance, checked_decode
+from .corpus import IntentLabel, LabeledUtterance, checked_decode, write_jsonl
 from .encoder import word_tokens
 from .errors import DataError
 from .sequencer import PLACEHOLDER, SequencePlan, build_plans, partition_intents
@@ -258,10 +257,4 @@ def plan_record(plan: SequencePlan, labels: Sequence[IntentLabel]) -> dict:
 
 def write_plans_jsonl(items: Sequence[TrainItem], path: str | Path) -> int:
     """Dump every plan as one JSON line; returns the number of records."""
-    count = 0
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for item in items:
-            for plan in item.plans:
-                fh.write(json.dumps(plan_record(plan, item.labels), sort_keys=True) + "\n")
-                count += 1
-    return count
+    return write_jsonl(path, (plan_record(plan, item.labels) for item in items for plan in item.plans))

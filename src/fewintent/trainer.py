@@ -1,9 +1,9 @@
 """Seeded mini-batch training over candidate-slate plans.
 
 This module decides how every model is trained: the group size, fresh
-parameters, the training items of a dataset, and when dev accuracy selects the
-best epoch. Fine-tuning and out-of-domain pretraining both run `train`;
-paraphrase pretraining feeds its own items to `fit_items`.
+parameters, the training items of a dataset, the dev set held out and when
+dev accuracy selects the best epoch. Fine-tuning and out-of-domain
+pretraining both run `train`; paraphrase pretraining feeds its own items to `fit_items`.
 
 Every epoch runs each plan as built, `shuffles_per_sequence` (default k)
 times, in seeded order; each batch is laid out from word ids computed once
@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import Dataset
+from .corpus import Dataset, split_dev
 from .encoder import (
     ModelParams,
     Vocabulary,
@@ -46,6 +46,18 @@ from .sequencer import augment_shuffles  # noqa: F401  perfbench/layers.py trace
 MIN_DEV_FOR_SELECTION = 10
 
 
+def dev_split(data: Dataset, fraction: float, seed: int) -> tuple[Dataset, Dataset | None]:
+    """The `split_dev` (train, dev), or (data, None) for a fraction of 0 or less
+    or a cut of fewer than MIN_DEV_FOR_SELECTION examples, which `train` would
+    never read. A NaN fraction, or one of 1 or more, is a `DataError`."""
+    if fraction <= 0:
+        return data, None
+    train_data, dev = split_dev(data, fraction, seed)
+    if len(dev.examples) < MIN_DEV_FOR_SELECTION:
+        return data, None
+    return train_data, dev
+
+
 @dataclass
 class TrainConfig:
     k: int | None = None  # group size; None picks the padding minimizer over [k_min, k_max]
@@ -59,7 +71,6 @@ class TrainConfig:
     seed: int = 0
     shuffles_per_sequence: int | None = None  # runs of each plan per epoch; None means k
     optimizer: str = "adam"
-    selection: str = "dev_accuracy"
     d_emb: int = 64
     d_hidden: int = 64
     d_out: int = 64
@@ -86,8 +97,6 @@ class TrainConfig:
             raise DataError("shuffles_per_sequence must be >= 1")
         if self.optimizer not in ("sgd", "adam"):
             raise DataError(f"unknown optimizer {self.optimizer!r}")
-        if self.selection not in ("dev_accuracy", "train_loss"):
-            raise DataError(f"unknown selection rule {self.selection!r}")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
 
@@ -240,9 +249,9 @@ def train(
     """Train on a dataset; returns (best params, report, vocabulary).
 
     A warm start (`init`) keeps the provided vocabulary untouched so token ids
-    stay stable across pretraining and fine-tuning. Dev-based selection needs
-    at least MIN_DEV_FOR_SELECTION dev examples; below that it falls back to
-    training loss.
+    stay stable across pretraining and fine-tuning. Dev accuracy selects the
+    best epoch when `dev_data` holds at least MIN_DEV_FOR_SELECTION examples
+    (as every `dev_split` dev set does); otherwise training loss does.
     """
     if not train_data.examples:
         raise DataError("training dataset is empty")
@@ -260,8 +269,7 @@ def train(
         params = cfg.new_params(vocab)
 
     dev_scorer = None
-    enough_dev = dev_data is not None and len(dev_data.examples) >= MIN_DEV_FOR_SELECTION
-    if cfg.selection == "dev_accuracy" and enough_dev:
+    if dev_data is not None and len(dev_data.examples) >= MIN_DEV_FOR_SELECTION:
         from .evaluator import dataset_accuracy  # local import: evaluator imports trainer
 
         dev_scorer = lambda p: dataset_accuracy(p, vocab, dev_data, k)

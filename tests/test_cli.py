@@ -241,6 +241,30 @@ class TestPipeline:
         assert len(plans) == 12 * 2
         assert all(len(p["slots"]) == 2 for p in plans)
 
+    def test_pretrain_ood_small_dev_cut_trains_on_every_example(self, tmp_path):
+        (tmp_path / "target.jsonl").write_text(
+            json.dumps({"text": "pay my bill", "label": "pay bill"}) + "\n"
+        )
+        rows = [
+            {"text": f"{word} please {i}", "label": word, "domain": word}
+            for word in ("alarm", "weather", "music")
+            for i in range(8)
+        ]
+        (tmp_path / "ood.jsonl").write_text("\n".join(json.dumps(r) for r in rows))
+        out = run_cli(
+            ["pretrain-ood", "--target", "target.jsonl", "--others", "ood.jsonl",
+             "--k", "2", "--k-min", "2", *TINY, "--seed", "4",
+             "--plans-out", "plans.jsonl", "--out", "ood.jsonl.out"],
+            cwd=tmp_path,
+        )
+        assert out.returncode == 0, out.stderr
+        rec = by_record(tmp_path / "ood.jsonl.out", "pretrain_ood_summary")[0]
+        assert rec["selection"] == "train_loss"  # a 10% cut of 24 is 2 examples: none held out
+        # all 24 utterances x ceil(3 intents / k=2) groups, one line per plan
+        plans = records(tmp_path / "plans.jsonl")
+        assert sorted({p["text"] for p in plans}) == sorted(r["text"] for r in rows)
+        assert len(plans) == 24 * 2
+
 
 def write_predict_inputs(synth_dir, extra=()):
     """Train `m.ckpt` on the synth task and write `inv.txt`, its label
@@ -273,6 +297,19 @@ class TestExitCodes:
         )
         assert out.returncode == 1
         assert "bogus_key" in out.stderr
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_selection_option_is_gone(self, synth_dir, how):
+        (synth_dir / "cfg.txt").write_text("selection = train_loss\n")
+        extra = ["--selection", "train_loss"] if how == "flag" else ["--config", "cfg.txt"]
+        out = run_cli(
+            ["train", "--train", "data/train.jsonl", "--k", "4", "--epochs", "1", *extra,
+             "--out", "t.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 1
+        assert "usage error" in out.stderr and "selection" in out.stderr
+        assert not (synth_dir / "t.jsonl").exists()
 
     def test_missing_required_is_1(self, tmp_path):
         out = run_cli(["synth", "--shots", "2"], cwd=tmp_path)

@@ -14,6 +14,7 @@ from fewintent.corpus import (
     normalize_label,
     sample_few_shot,
     split_dev,
+    write_jsonl,
 )
 from fewintent.errors import DataError
 
@@ -208,6 +209,17 @@ class TestSplitDev:
     def test_bad_fraction(self, toy_dataset):
         with pytest.raises(DataError):
             split_dev(toy_dataset, 1.0, seed=0)
+
+
+class TestWriteJsonl:
+    def test_sorted_keys_one_line_each(self, tmp_path):
+        path = tmp_path / "r.jsonl"
+        assert write_jsonl(path, iter([{"b": 1, "a": "caf\u00e9"}, {}])) == 2
+        assert path.read_bytes() == b'{"a": "caf\\u00e9", "b": 1}\n{}\n'
+
+    def test_no_records_is_an_empty_file(self, tmp_path):
+        assert write_jsonl(tmp_path / "r.jsonl", []) == 0
+        assert (tmp_path / "r.jsonl").read_bytes() == b""
 
 
 def _single_intent_dataset(label, texts, domain):

@@ -103,14 +103,14 @@ class TestPredictionRows:
     def test_matches_the_lexsort_reference(self, row):
         scores = np.array(row)
         scores.flags.writeable = False
-        pred = evaluator.Prediction(3, scores)
+        pred = evaluator.Prediction(scores)
         ref = per_row.ranking(np.arange(len(row)), scores)
         assert pred.ranking == ref and pred.predicted == ref[0][0]
         assert [type(i) for i, _ in pred.ranking] == [int] * len(row)
 
     @given(st.lists(st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]), min_size=1, max_size=12))
     def test_matches_the_lexsort_reference_on_any_tied_row(self, row):
-        pred = evaluator.Prediction(0, np.array(row))
+        pred = evaluator.Prediction(np.array(row))
         ref = per_row.ranking(np.arange(len(row)), np.array(row))
         assert pred.ranking == ref and pred.predicted == ref[0][0]
 
@@ -178,13 +178,13 @@ class TestAgainstGroupedReference:
         vocab = build_vocab([data])
         params = init_params(len(vocab), *dims, depth=depth, seed=seed)
         batch = predict_dataset(params, vocab, data, k)
-        assert [p.utterance_id for p in batch] == list(range(len(data.examples)))
+        assert len(batch) == len(data.examples)
         for i, ex in enumerate(data.examples):
             ref = grouped_ranking(params, vocab, ex.text, data.labels, k)
             assert batch[i].ranking == ref
             for _ in range(2):  # builds or reuses the memo, then reuses it
-                online = predict(params, vocab, ex.text, data.labels, k, utterance_id=i)
-                assert online.ranking == ref and online.utterance_id == i
+                online = predict(params, vocab, ex.text, data.labels, k)
+                assert online.ranking == ref
                 memo = evaluator._memo
             assert evaluator._memo is memo
 
@@ -487,6 +487,13 @@ class TestEvaluateRuns:
         pool, test = generate_synthetic(3, 2, 0, seed=0)
         with pytest.raises(DataError, match="no examples"):
             evaluate_runs(pool, Dataset(test.labels, ()), TrainConfig(k=3, epochs=0), [0], 1)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), 1.0])
+    def test_bad_dev_fraction_is_data_error(self, fraction):
+        pool, test = generate_synthetic(3, 3, 0, seed=0)  # 3 shots of 3 intents: a 9-example sample
+        cfg = TrainConfig(k=3, epochs=0, seed=0)
+        with pytest.raises(DataError, match=r"dev fraction must be in \(0, 1\)"):
+            evaluate_runs(pool, test, cfg, seeds=[0], shots=3, dev_fraction=fraction)
 
     def test_report_carries_each_runs_predictions(self):
         params, vocab, labels = one_hot_model(3)

@@ -195,3 +195,23 @@ def test_bench_compare_names_the_parent_of_a_tree_without_git(monkeypatch, tmp_p
     record = json.loads((tmp_path / "BENCH_x.json").read_text())
     assert record["parent"] == "abc123" and len(record["runs"]) == 4
     assert record["claim"]["pairs"] == 2 and not record["claim"]["met"]
+
+
+def test_bench_compare_shared_env_leaves_out_what_differs_by_run(monkeypatch, tmp_path):
+    bc = _bench_compare()
+    metrics = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    result = {"metrics": {m["name"]: {"value": 1.0, "unit": m["unit"]} for m in metrics},
+              "correct": True, "failed": 0, "attempted": 1}
+    shas = {tmp_path: None, SCRIPTS.parent: "c0ffee"}
+
+    def run_once(tree, workload, seed, seconds):
+        return {"env": {"seed": seed, "git_sha": shas[tree], "python": "3"}, "result": result}
+
+    monkeypatch.setattr(bc, "run_once", run_once)
+    argv = ["--parent", str(tmp_path), "--change", str(SCRIPTS.parent), "--label", "x",
+            "--parent-sha", "abc123", "--pairs", "predict_c150=2", "--seeds", "1", "2",
+            "--out-dir", str(tmp_path)]
+    assert bc.main(argv) == 0
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert record["env"] == {"python": "3"}
+    assert [r["env"]["git_sha"] for r in record["runs"]] == [None, "c0ffee", "c0ffee", None]

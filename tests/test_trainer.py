@@ -176,6 +176,37 @@ def recorded_schedule(items, vocab, params, cfg, monkeypatch):
     return report.epoch_losses, batches
 
 
+class TestDevSplit:
+    @pytest.mark.parametrize("fraction", [0.0, -0.5])
+    def test_no_fraction_holds_nothing_out(self, fraction):
+        data = make_dataset(n_intents=4, per_intent=3)
+        train_data, dev = trainer.dev_split(data, fraction, seed=0)
+        assert train_data is data and dev is None
+
+    def test_cut_below_threshold_holds_nothing_out(self):
+        data, _ = generate_synthetic(77, 1, 3, seed=0, test_per_intent=1)
+        assert len(split_dev(data, 0.1, seed=0)[1].examples) == 7
+        train_data, dev = trainer.dev_split(data, 0.1, seed=0)
+        assert train_data is data and dev is None  # every 1-shot intent keeps its example
+
+    @pytest.mark.parametrize("fraction, n_dev", [(0.09, 9), (0.1, 10), (0.29, 29)])
+    def test_cut_of_threshold_or_more_is_split_dev(self, fraction, n_dev):
+        data = make_dataset(n_intents=4, per_intent=25)  # 100 examples
+        ref_train, ref_dev = split_dev(data, fraction, seed=3)
+        assert len(ref_dev.examples) == n_dev
+        train_data, dev = trainer.dev_split(data, fraction, seed=3)
+        if n_dev < trainer.MIN_DEV_FOR_SELECTION:
+            assert train_data is data and dev is None
+        else:
+            assert (train_data.examples, dev.examples) == (ref_train.examples, ref_dev.examples)
+
+    @pytest.mark.parametrize("fraction", [float("nan"), 1.0, 1.5])
+    def test_nan_or_whole_fraction_is_data_error(self, fraction):
+        data = make_dataset(n_intents=4, per_intent=3)
+        with pytest.raises(DataError, match=r"dev fraction must be in \(0, 1\)"):
+            trainer.dev_split(data, fraction, seed=0)
+
+
 class TestAgainstShuffledCopies:
     @pytest.mark.parametrize("attention", [False, True])
     @pytest.mark.parametrize("shuffles", [None, 1, 2])

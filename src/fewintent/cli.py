@@ -88,14 +88,11 @@ _HYPERPARAMS = [
     Opt("epochs", "int", _DEFAULTS.epochs, "training epochs"),
     Opt("shuffles", "int", _DEFAULTS.shuffles_per_sequence,
         "times each plan is repeated per epoch (default: k)"),
-    Opt("optimizer", "str", _DEFAULTS.optimizer, "sgd or adam"),
     Opt("d_emb", "int", _DEFAULTS.d_emb, "embedding dimension"),
     Opt("d_hidden", "int", _DEFAULTS.d_hidden, "projector hidden dimension"),
     Opt("d_out", "int", _DEFAULTS.d_out, "projector output dimension"),
     Opt("projector_depth", "int", _DEFAULTS.projector_depth, "projector layers"),
     Opt("attention", "bool", _DEFAULTS.attention, "enable the single self-attention layer"),
-    Opt("include_placeholders", "bool", _DEFAULTS.include_placeholders,
-        "keep placeholder slots in the loss denominator"),
     Opt("min_count", "int", _DEFAULTS.min_count, "vocabulary frequency cutoff"),
 ]
 
@@ -264,6 +261,7 @@ def _load_init(cfg: dict, tc: TrainConfig, explicit: set[str]):
     params, vocab = load_checkpoint(cfg["init"])
     checks = [
         ("d_emb", params.d_emb, tc.d_emb),
+        *[("d_hidden", width, tc.d_hidden) for width in params.dims[1:-1]],
         ("d_out", params.d_out, tc.d_out),
         ("projector_depth", len(params.proj_weights), tc.projector_depth),
         ("attention", params.has_attention, tc.attention),

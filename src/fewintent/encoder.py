@@ -6,7 +6,7 @@ a shared MLP projector applied to the utterance span and every label slot.
 All gradients are analytic and checked against central finite differences.
 
 This module owns the parameter layout (`param_shapes`): every `ModelParams`
-array is a view of one float64 vector, which the optimizers, checkpoints,
+array is a view of one float64 vector, which the optimizer, checkpoints,
 `grad_check` and the label index each handle as one array.
 
 Training runs one batch kernel (`loss_and_param_grads`): one projector pass,
@@ -498,7 +498,7 @@ def loss_and_param_grads(
     for row, rows in zip(table, span_rows):
         row[: len(rows)] = rows
 
-    candidates, gold = loss_targets(batch, cfg)
+    candidates, gold = loss_targets(batch)
     loss, dh_u, dh_slots = batch_loss(h[table[:, 0]], h[table[:, 1:]], candidates, gold, cfg)
     dh = np.concatenate([dh_u[:, None], dh_slots], axis=1).reshape(-1, h.shape[1])
     grads = params.zeros_like()
@@ -530,7 +530,6 @@ def grad_check(
     eps: float = 1e-4,
     n_coords: int = 200,
     seed: int = 0,
-    include_placeholders: bool = False,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -540,7 +539,7 @@ def grad_check(
     """
     if eps <= 0:
         raise DataError(f"eps must be positive, got {eps}")
-    cfg = LossConfig(tau=tau, include_placeholders=include_placeholders)
+    cfg = LossConfig(tau=tau)
     loss0, grads = loss_and_param_grads(params, batch, cfg)
     if not np.isfinite(loss0):
         raise NumericError("loss is non-finite at the evaluation point")

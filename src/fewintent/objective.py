@@ -1,10 +1,10 @@
 """Contrastive objective over utterance/slot representations.
 
-For a sequence whose candidate set C is the non-placeholder slots (plus
-placeholders when configured), the loss is the temperature-scaled softmax
-cross-entropy of cosine similarities against the gold slot. Sequences without
-a gold slot use a numerator of 1, i.e. plain log-sum-exp: the utterance is
-only pushed away from the candidates it does not match.
+For a sequence whose candidate set C is the slots that hold an intent (never
+a placeholder), the loss is the temperature-scaled softmax cross-entropy of
+cosine similarities against the gold slot. Sequences without a gold slot
+use a numerator of 1, i.e. plain log-sum-exp: the utterance is only pushed
+away from the candidates it does not match.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .sequencer import PLACEHOLDER
 @dataclass(frozen=True)
 class LossConfig:
     tau: float = 0.1
-    include_placeholders: bool = False
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
@@ -59,7 +58,7 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     return float(scores) if scores.ndim == 0 else scores
 
 
-def loss_targets(seqs: Sequence, cfg: LossConfig) -> tuple[np.ndarray, np.ndarray]:
+def loss_targets(seqs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """The (B, k) candidate mask and the gold-slot vector that `batch_loss`
     takes, for sequences with `slot_intents` and `gold_slot` (tokenized or
     encoded). k is the longest sequence's slot count; a shorter sequence's
@@ -68,7 +67,7 @@ def loss_targets(seqs: Sequence, cfg: LossConfig) -> tuple[np.ndarray, np.ndarra
     candidates = np.zeros((len(seqs), k), dtype=bool)
     for row, seq in zip(candidates, seqs):
         intents = np.asarray(seq.slot_intents)
-        row[: len(intents)] = True if cfg.include_placeholders else intents != PLACEHOLDER
+        row[: len(intents)] = intents != PLACEHOLDER
     gold = np.array([-1 if seq.gold_slot is None else seq.gold_slot for seq in seqs], dtype=np.intp)
     return candidates, gold
 
@@ -117,7 +116,7 @@ def batch_loss(
 
 def sequence_loss(emb, cfg: LossConfig) -> float:
     """`batch_loss` of one encoded sequence; errors on an empty candidate set."""
-    candidates, gold = loss_targets([emb], cfg)
+    candidates, gold = loss_targets([emb])
     if not candidates.any():
         raise DataError("empty candidate set: all slots are placeholders")
     return batch_loss(emb.h_u[None], emb.h_slots[None], candidates, gold, cfg)[0]

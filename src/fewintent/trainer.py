@@ -7,8 +7,8 @@ pretraining both run `train`; paraphrase pretraining feeds its own items to `fit
 
 Every epoch runs each plan as built, `shuffles_per_sequence` (default k)
 times, in seeded order; each batch is laid out from word ids computed once
-a run. It steps SGD or Adam on exact batch gradients and tracks the best
-epoch by dev accuracy or training loss. Optimizers and checkpoints handle the
+a run. It steps Adam on exact batch gradients and tracks the best epoch
+by dev accuracy or training loss. The optimizer and checkpoints handle the
 parameters as the one vector `ModelParams.flat`: a step is one pass over it,
 and a checkpoint stores it, with the vocabulary, bit-exactly.
 """
@@ -64,13 +64,11 @@ class TrainConfig:
     k_min: int = 20
     k_max: int = 35
     tau: float = 0.1
-    include_placeholders: bool = False
     batch_size: int = 8
     learning_rate: float = 1e-2
     epochs: int = 10
     seed: int = 0
     shuffles_per_sequence: int | None = None  # runs of each plan per epoch; None means k
-    optimizer: str = "adam"
     d_emb: int = 64
     d_hidden: int = 64
     d_out: int = 64
@@ -95,8 +93,6 @@ class TrainConfig:
             raise DataError(f"bad group-size range [{self.k_min}, {self.k_max}]")
         if self.shuffles_per_sequence is not None and self.shuffles_per_sequence < 1:
             raise DataError("shuffles_per_sequence must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise DataError(f"unknown optimizer {self.optimizer!r}")
         if self.seed < 0:
             raise DataError("seed must be non-negative")
 
@@ -112,7 +108,7 @@ class TrainConfig:
         )
 
     def loss_config(self) -> LossConfig:
-        return LossConfig(self.tau, self.include_placeholders)
+        return LossConfig(self.tau)
 
 
 @dataclass
@@ -141,17 +137,12 @@ def dataset_items(data: Dataset, k: int) -> list[TrainItem]:
     return [TrainItem(data.labels, tuple(build_plans(u, groups))) for u in data.examples]
 
 
-class _Sgd:
-    def __init__(self, lr: float):
-        self.lr = lr
-
-    def step(self, params: ModelParams, grads: ModelParams):
-        params.flat -= self.lr * grads.flat
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 class _Adam:
-    def __init__(self, lr: float, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, lr: float):
+        self.lr = lr
         self.t = 0
         self.m: np.ndarray | None = None
         self.v: np.ndarray | None = None
@@ -161,18 +152,14 @@ class _Adam:
             self.m = np.zeros_like(params.flat)
             self.v = np.zeros_like(params.flat)
         self.t += 1
-        b1t = 1.0 - self.beta1**self.t
-        b2t = 1.0 - self.beta2**self.t
+        b1t = 1.0 - ADAM_BETA1**self.t
+        b2t = 1.0 - ADAM_BETA2**self.t
         m, v, g = self.m, self.v, grads.flat
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        params.flat -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-
-def _make_optimizer(cfg: TrainConfig):
-    return _Adam(cfg.learning_rate) if cfg.optimizer == "adam" else _Sgd(cfg.learning_rate)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * g * g
+        params.flat -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
 
 
 def fit_items(
@@ -192,7 +179,7 @@ def fit_items(
         raise DataError("nothing to train on")
     loss_cfg = cfg.loss_config()
     selection = "dev_accuracy" if dev_scorer is not None else "train_loss"
-    opt = _make_optimizer(cfg)
+    opt = _Adam(cfg.learning_rate)
 
     losses: list[float] = []
     metrics: list[float] = []

@@ -1,17 +1,8 @@
-"""The per-array optimizers that the one-vector steps replaced, kept as the
-reference the trainer's `_Sgd` and `_Adam` are tested against: the same
-update, run array by array over `ModelParams.arrays()`."""
+"""The per-array optimizer that the one-vector step replaced, kept as the
+reference the trainer's `_Adam` is tested against: the same update, run
+array by array over `ModelParams.arrays()`."""
 
 import numpy as np
-
-
-class Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, grads):
-        for a, g in zip(params.arrays(), grads.arrays()):
-            a -= self.lr * g
 
 
 class Adam:

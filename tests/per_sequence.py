@@ -10,16 +10,14 @@ from fewintent.errors import DataError, NumericError
 from fewintent.sequencer import PLACEHOLDER
 
 
-def candidate_positions(slot_intents, cfg):
-    if cfg.include_placeholders:
-        return list(range(len(slot_intents)))
+def candidate_positions(slot_intents):
     return [p for p, intent in enumerate(slot_intents) if intent != PLACEHOLDER]
 
 
 def loss_and_h_grads(emb, cfg):
     """Loss plus dL/dh_u and dL/dh_slots for one sequence; zero for an empty
     candidate set."""
-    cand = candidate_positions(emb.slot_intents, cfg)
+    cand = candidate_positions(emb.slot_intents)
     k, d_out = emb.h_slots.shape
     dh_u = np.zeros(d_out)
     dh_slots = np.zeros((k, d_out))

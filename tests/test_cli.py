@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -299,16 +300,38 @@ class TestExitCodes:
         assert "bogus_key" in out.stderr
 
     @pytest.mark.parametrize("how", ["flag", "config"])
-    def test_selection_option_is_gone(self, synth_dir, how):
-        (synth_dir / "cfg.txt").write_text("selection = train_loss\n")
-        extra = ["--selection", "train_loss"] if how == "flag" else ["--config", "cfg.txt"]
-        out = run_cli(
-            ["train", "--train", "data/train.jsonl", "--k", "4", "--epochs", "1", *extra,
-             "--out", "t.jsonl"],
-            cwd=synth_dir,
-        )
-        assert out.returncode == 1
-        assert "usage error" in out.stderr and "selection" in out.stderr
+    @pytest.mark.parametrize(
+        "key, flag, line",
+        [
+            ("selection", ["--selection", "train_loss"], "selection = train_loss"),
+            ("optimizer", ["--optimizer", "sgd"], "optimizer = sgd"),
+            ("include_placeholders", ["--include-placeholders"], "include_placeholders = true"),
+        ],
+        ids=["selection", "optimizer", "include-placeholders"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["train", "--train", "data/train.jsonl"],
+            ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl", "--shots", "2"],
+            ["pretrain-ood", "--target", "data/train.jsonl", "--others", "data/test.jsonl"],
+            ["pretrain-para", "--pairs", "pairs.tsv", "--n-target", "3"],
+            ["sweep-k", "--train", "data/train.jsonl", "--k-values", "2"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_removed_training_options_are_usage_errors(
+        self, synth_dir, monkeypatch, capsys, command, key, flag, line, how
+    ):
+        from fewintent import cli
+
+        (synth_dir / "pairs.tsv").write_text("alpha gamma\tbeta delta\n")
+        (synth_dir / "cfg.txt").write_text(line + "\n")
+        monkeypatch.chdir(synth_dir)
+        extra = flag if how == "flag" else ["--config", "cfg.txt"]
+        assert cli.main([*command, "--epochs", "1", *extra, "--out", "t.jsonl"]) == 1
+        err = capsys.readouterr().err
+        assert "usage error" in err and key.split("_")[0] in err
         assert not (synth_dir / "t.jsonl").exists()
 
     def test_missing_required_is_1(self, tmp_path):
@@ -414,6 +437,29 @@ class TestExitCodes:
         )
         assert out.returncode == 2
         assert "data error" in out.stderr and "d_emb" in out.stderr
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["train", "--train", "data/train.jsonl"],
+            ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl", "--shots", "2", "--seeds", "0"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_init_hidden_width_mismatch_is_2(self, synth_dir, command):
+        from fewintent.corpus import load_dataset
+        from fewintent.encoder import build_vocab, init_params
+        from fewintent.trainer import save_checkpoint
+
+        vocab = build_vocab([load_dataset(synth_dir / "data/train.jsonl", "jsonl")])
+        save_checkpoint(init_params(len(vocab), 8, 16, 8), vocab, synth_dir / "m.ckpt")
+        args = [*command, "--k", "4", "--epochs", "1", "--init", "m.ckpt", "--out", "o.jsonl"]
+        out = run_cli([*args, "--d-hidden", "32"], cwd=synth_dir)
+        assert out.returncode == 2
+        assert "data error: checkpoint d_hidden is 16, configured 32" in out.stderr
+        assert "Traceback" not in out.stderr
+        out = run_cli([*args, "--d-hidden", "16"], cwd=synth_dir)  # the checkpoint's own width
+        assert out.returncode == 0, out.stderr
 
     def test_eval_empty_seeds_is_2(self, synth_dir):
         out = run_cli(
@@ -660,8 +706,10 @@ class TestConfigMerge:
         from fewintent.trainer import TrainConfig
 
         defaults = TrainConfig()
-        for opt in cli._HYPERPARAMS:
-            field = "shuffles_per_sequence" if opt.name == "shuffles" else opt.name
+        fields = ["shuffles_per_sequence" if o.name == "shuffles" else o.name for o in cli._HYPERPARAMS]
+        # One option per field, `seed` aside: it is every command's own option.
+        assert sorted(fields) == sorted(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
+        for opt, field in zip(cli._HYPERPARAMS, fields):
             assert opt.default == getattr(defaults, field), opt.name
 
 

@@ -395,21 +395,19 @@ class TestAgainstPerSequenceReference:
     @settings(max_examples=150, deadline=None)
     @given(
         batch=batches(),
-        include=st.booleans(),
         depth=st.sampled_from([1, 2]),
         attention=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_loss_and_every_gradient_agree(self, batch, include, depth, attention, seed):
+    def test_loss_and_every_gradient_agree(self, batch, depth, attention, seed):
         params = wide_params(depth, attention, seed)
-        assert_same_loss_and_grads(params, batch, LossConfig(0.1, include))
+        assert_same_loss_and_grads(params, batch, LossConfig(0.1))
 
     @pytest.mark.parametrize("attention", [False, True])
     def test_dataset_batch_with_duplicate_plans(self, attention):
         vocab, seqs = small_batch(n_intents=7, k=3)
         params = init_params(len(vocab), 8, 8, 8, seed=3, attention=attention)
-        for include in (False, True):
-            assert_same_loss_and_grads(params, seqs + seqs[:4], LossConfig(0.1, include))
+        assert_same_loss_and_grads(params, seqs + seqs[:4], LossConfig(0.1))
 
     @pytest.mark.parametrize("attention", [False, True])
     @pytest.mark.parametrize(
@@ -433,28 +431,23 @@ class TestAgainstPerSequenceReference:
             loss_and_param_grads(params, seqs, LossConfig(0.1))
 
     @pytest.mark.parametrize("attention", [False, True])
-    @pytest.mark.parametrize("include", [False, True])
     @pytest.mark.parametrize("case", REPEATED_CASES)
-    def test_repeated_tokens(self, case, include, attention):
+    def test_repeated_tokens(self, case, attention):
         for seed in range(3):
             params = wide_params(2, attention, seed)
-            assert_same_loss_and_grads(params, repeated_batch(case), LossConfig(0.1, include))
+            assert_same_loss_and_grads(params, repeated_batch(case), LossConfig(0.1))
 
-    @pytest.mark.parametrize("include", [False, True])
     @pytest.mark.parametrize("case", REPEATED_CASES)
-    def test_grad_check_on_repeated_tokens_with_attention(self, case, include):
+    def test_grad_check_on_repeated_tokens_with_attention(self, case):
         for depth in (1, 2):
             params = wide_params(depth, True, seed=depth)
-            err = grad_check(
-                params, repeated_batch(case), n_coords=300, seed=depth, include_placeholders=include
-            )
-            assert err < 1e-4
+            assert grad_check(params, repeated_batch(case), n_coords=300, seed=depth) < 1e-4
 
     def test_grad_check_on_batch_with_repeats_and_placeholders(self):
         vocab, seqs = small_batch(n_intents=5, k=3)
         batch = seqs[:5] + seqs[:2]
         params = init_params(len(vocab), 12, 12, 12, seed=4)
-        assert grad_check(params, batch, n_coords=300, seed=2, include_placeholders=True) < 1e-4
+        assert grad_check(params, batch, n_coords=300, seed=2) < 1e-4
 
 
 def test_word_tokens_split_punctuation_and_case():

@@ -38,7 +38,7 @@ def embs(h_u, h_slots, gold_slot=None, slot_intents=None):
 
 def batch_of(batch, cfg):
     """`batch_loss` of encoded sequences of one slot count."""
-    candidates, gold = loss_targets(batch, cfg)
+    candidates, gold = loss_targets(batch)
     h_u = np.stack([e.h_u for e in batch])
     h_slots = np.stack([e.h_slots for e in batch])
     return batch_loss(h_u, h_slots, candidates, gold, cfg)
@@ -169,16 +169,16 @@ class TestClosedForms:
 
 
 class TestLossRules:
-    def test_placeholders_excluded_by_default(self):
+    def test_placeholders_are_not_candidates(self):
         h = basis(0, 4)
         e = embs(h, [h, basis(1, 4), basis(2, 4)], gold_slot=0,
                  slot_intents=(7, 9, PLACEHOLDER))
         with_plh = embs(h, [h, basis(1, 4), basis(2, 4)], gold_slot=0,
                         slot_intents=(7, 9, 11))
+        without_plh = embs(h, [h, basis(1, 4)], gold_slot=0, slot_intents=(7, 9))
         excl = sequence_loss(e, LossConfig(tau=1.0))
-        incl = sequence_loss(e, LossConfig(tau=1.0, include_placeholders=True))
-        assert excl < incl  # extra denominator term raises the loss
-        assert incl == pytest.approx(sequence_loss(with_plh, LossConfig(tau=1.0)), abs=1e-12)
+        assert excl < sequence_loss(with_plh, LossConfig(tau=1.0))  # a third candidate raises the loss
+        assert excl == sequence_loss(without_plh, LossConfig(tau=1.0))
 
     def test_empty_candidate_set_raises(self):
         e = embs(basis(0, 4), [basis(1, 4)], gold_slot=None, slot_intents=(PLACEHOLDER,))
@@ -301,12 +301,12 @@ class TestAgainstPerSequenceLoop:
     """The array loss against the per-sequence loop it replaced."""
 
     @settings(max_examples=200, deadline=None)
-    @given(batch=encoded_batches(), include=st.booleans(), tau=st.sampled_from([0.05, 0.1, 1.0]))
-    def test_loss_and_h_gradients_agree(self, batch, include, tau):
-        cfg = LossConfig(tau=tau, include_placeholders=include)
+    @given(batch=encoded_batches(), tau=st.sampled_from([0.05, 0.1, 1.0]))
+    def test_loss_and_h_gradients_agree(self, batch, tau):
+        cfg = LossConfig(tau=tau)
         want_loss, want_grads = per_sequence.batch_loss(batch, cfg)
         h_u, h_slots = padded(batch)
-        loss, dh_u, dh_slots = batch_loss(h_u, h_slots, *loss_targets(batch, cfg), cfg)
+        loss, dh_u, dh_slots = batch_loss(h_u, h_slots, *loss_targets(batch), cfg)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
         for i, (want_u, want_slots) in enumerate(want_grads):
             k = len(want_slots)

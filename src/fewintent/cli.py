@@ -19,6 +19,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
+import numpy as np
+
 from .corpus import (
     Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl, write_jsonl,
 )
@@ -65,7 +67,7 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class Opt:
     name: str  # config key and argparse dest
-    kind: str  # int | float | str | bool | intlist | strlist
+    kind: str  # int | float | str | bool | intlist | strlist | model (a checkpoint to read)
     default: object = None
     help: str = ""
     required: bool = False
@@ -100,6 +102,11 @@ _HYPERPARAMS = [
 def _known_format(value: str) -> None:
     if value not in ("csv", "jsonl"):
         raise UsageError(f"unknown format {value!r}")
+
+
+def _enough_candidates(value: int) -> None:
+    if value < 2:
+        raise DataError(f"need at least 2 candidates, got {value}")
 
 
 def _split_fraction(value: float) -> None:
@@ -253,22 +260,22 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(seed=cfg.get("seed", 0), **kwargs)
 
 
-def _load_init(cfg: dict, tc: TrainConfig, explicit: set[str]):
-    """The --init warm start, or None; explicitly configured dimensions must
-    agree with the checkpoint."""
-    if not cfg["init"]:
+def _load_model(opts: list[Opt], cfg: dict, explicit: set[str]):
+    """(params, vocab) of the checkpoint the command's model option names, or None.
+    The checkpoint sets the command's shape keys in `cfg`; an explicit value that
+    disagrees is a DataError. `d_hidden` is set only from a single hidden width."""
+    path = next((cfg[o.name] for o in opts if o.kind == "model"), None)
+    if not path:
         return None
-    params, vocab = load_checkpoint(cfg["init"])
-    checks = [
-        ("d_emb", params.d_emb, tc.d_emb),
-        *[("d_hidden", width, tc.d_hidden) for width in params.dims[1:-1]],
-        ("d_out", params.d_out, tc.d_out),
-        ("projector_depth", len(params.proj_weights), tc.projector_depth),
-        ("attention", params.has_attention, tc.attention),
-    ]
-    for name, have, want in checks:
-        if name in explicit and have != want:
-            raise DataError(f"checkpoint {name} is {have}, configured {want}")
+    params, vocab = load_checkpoint(path)
+    hidden = params.dims[1:-1]
+    shape = [("d_emb", params.d_emb), *[("d_hidden", width) for width in hidden], ("d_out", params.d_out),
+             ("projector_depth", len(params.proj_weights)), ("attention", params.has_attention)]
+    for name, have in shape:
+        if name in explicit and have != cfg[name]:
+            raise DataError(f"checkpoint {name} is {have}, configured {cfg[name]}")
+        if name in cfg and (name != "d_hidden" or len(set(hidden)) == 1):
+            cfg[name] = have
     return params, vocab
 
 
@@ -282,12 +289,11 @@ def _split(data: Dataset, cfg: dict, split=dev_split) -> tuple[Dataset, Dataset 
     return data, None
 
 
-def _predict_checkpoint(cfg: dict):
+def _predict_checkpoint(cfg: dict, model):
     """Rank every --test utterance with the --ckpt model; returns (test set, k, predictions)."""
-    params, vocab = load_checkpoint(cfg["ckpt"])
     test_data = _load(cfg["test"], cfg)
     k = _train_config(cfg).group_size(test_data.n_intents)
-    return test_data, k, predict_dataset(params, vocab, test_data, k)
+    return test_data, k, predict_dataset(*model, test_data, k)
 
 
 def _top(labels, ranking, top: int = 5) -> list[dict]:
@@ -308,7 +314,7 @@ def _write_predictions(path: str, data: Dataset, runs):
 # --- commands -----------------------------------------------------------------
 
 
-def _cmd_synth(cfg: dict, explicit: set[str], writer: _Writer):
+def _cmd_synth(cfg: dict, model, writer: _Writer):
     train_data, test_data = generate_synthetic(
         cfg["intents"], cfg["shots"], cfg["noise_tokens"], cfg["seed"], cfg["test_per_intent"]
     )
@@ -326,7 +332,7 @@ def _cmd_synth(cfg: dict, explicit: set[str], writer: _Writer):
     })
 
 
-def _cmd_ingest(cfg: dict, explicit: set[str], writer: _Writer):
+def _cmd_ingest(cfg: dict, model, writer: _Writer):
     data = _load(cfg["input"], cfg)
     domains: dict[str, int] = {}
     for ex in data.examples:
@@ -341,12 +347,10 @@ def _cmd_ingest(cfg: dict, explicit: set[str], writer: _Writer):
     })
 
 
-def _cmd_train(cfg: dict, explicit: set[str], writer: _Writer):
+def _cmd_train(cfg: dict, model, writer: _Writer):
     train_data, dev_data = _split(_load(cfg["train"], cfg), cfg)
     tc = _train_config(cfg)
-    params, report, vocab = train(
-        train_data, dev_data, tc, init=_load_init(cfg, tc, explicit), log=writer.epoch
-    )
+    params, report, vocab = train(train_data, dev_data, tc, init=model, log=writer.epoch)
     if cfg["ckpt"]:
         save_checkpoint(params, vocab, cfg["ckpt"])
     writer.write({
@@ -360,7 +364,7 @@ def _cmd_train(cfg: dict, explicit: set[str], writer: _Writer):
     })
 
 
-def _cmd_pretrain_ood(cfg: dict, explicit: set[str], writer: _Writer):
+def _cmd_pretrain_ood(cfg: dict, model, writer: _Writer):
     target = _load(cfg["target"], cfg)
     others = [_load(p, cfg) for p in cfg["others"]]
     ood = build_ood(target, others, cfg["exclude_domains"])
@@ -387,19 +391,12 @@ def _cmd_pretrain_ood(cfg: dict, explicit: set[str], writer: _Writer):
     })
 
 
-def _cmd_pretrain_para(cfg: dict, explicit: set[str], writer: _Writer):
+def _cmd_pretrain_para(cfg: dict, model, writer: _Writer):
     raw_pairs = pairs_from_tsv(cfg["pairs"])
     kept = filter_pairs(raw_pairs, cfg["max_words"], cfg["max_chars"])
     if not kept:
         raise DataError("no paraphrase pairs survive the length filter")
-    if cfg["n_target"] is not None:
-        n_target = cfg["n_target"]
-    elif cfg["target"]:
-        n_target = _load(cfg["target"], cfg).n_intents
-    else:
-        raise UsageError("pretrain-para needs --n-target or --target")
-    if n_target < 2:
-        raise DataError(f"need at least 2 candidates, got {n_target}")
+    n_target = cfg["n_target"]
     tc = _train_config(cfg)
     k = tc.group_size(n_target)
 
@@ -423,14 +420,12 @@ def _cmd_pretrain_para(cfg: dict, explicit: set[str], writer: _Writer):
     })
 
 
-def _cmd_eval(cfg: dict, explicit: set[str], writer: _Writer):
+def _cmd_eval(cfg: dict, model, writer: _Writer):
     train_pool = _load(cfg["train"], cfg)
     test_data = _load(cfg["test"], cfg)
     tc = _train_config(cfg)
-    report = evaluate_runs(
-        train_pool, test_data, tc, cfg["seeds"], cfg["shots"],
-        dev_fraction=cfg["dev_fraction"], init=_load_init(cfg, tc, explicit),
-    )
+    report = evaluate_runs(train_pool, test_data, tc, cfg["seeds"], cfg["shots"],
+                           dev_fraction=cfg["dev_fraction"], init=model)
     for seed, acc in zip(report.seeds, report.accuracies):
         writer.write({"record": "run", "seed": seed, "accuracy": acc})
     writer.write({"record": "eval_report", **report.to_record()})
@@ -439,8 +434,8 @@ def _cmd_eval(cfg: dict, explicit: set[str], writer: _Writer):
         _write_predictions(cfg["predictions_out"], test_data, zip(report.seeds, report.predictions))
 
 
-def _cmd_zeroshot(cfg: dict, explicit: set[str], writer: _Writer):
-    test_data, k, preds = _predict_checkpoint(cfg)
+def _cmd_zeroshot(cfg: dict, model, writer: _Writer):
+    test_data, k, preds = _predict_checkpoint(cfg, model)
     writer.write({
         "record": "zeroshot",
         "k": k,
@@ -472,8 +467,8 @@ def _stdin_utterances(vocab) -> Iterator[tuple[int, str]]:
         yield lineno, rec["text"]
 
 
-def _cmd_predict(cfg: dict, explicit: set[str], writer: _Writer):
-    params, vocab = load_checkpoint(cfg["ckpt"])
+def _cmd_predict(cfg: dict, model, writer: _Writer):
+    params, vocab = model
     labels = inventory_labels(cfg["inventory"])
     k = _train_config(cfg).group_size(len(labels))
     for lineno, text in _stdin_utterances(vocab):
@@ -481,7 +476,7 @@ def _cmd_predict(cfg: dict, explicit: set[str], writer: _Writer):
         writer.write({"record": "prediction", "line": lineno, "top": _top(labels, ranking)})
 
 
-def _cmd_sweep_k(cfg: dict, explicit: set[str], writer: _Writer):
+def _cmd_sweep_k(cfg: dict, model, writer: _Writer):
     data = _load(cfg["train"], cfg)
     train_data, dev_data = _split(data, cfg, split_dev)  # the sweep scores a dev set of any size
     if dev_data is None or not dev_data.examples:
@@ -503,8 +498,8 @@ def _cmd_sweep_k(cfg: dict, explicit: set[str], writer: _Writer):
     print(sweep_table(rows), file=sys.stderr)
 
 
-def _cmd_diagnose_topk(cfg: dict, explicit: set[str], writer: _Writer):
-    test_data, _, preds = _predict_checkpoint(cfg)
+def _cmd_diagnose_topk(cfg: dict, model, writer: _Writer):
+    test_data, _, preds = _predict_checkpoint(cfg, model)
     gold = [ex.intent_id for ex in test_data.examples]
     filt = label_filter_rankings([ex.text for ex in test_data.examples], test_data.labels)
     misses, recovered = topk_miss(preds, gold, cfg["k_top"], filt)
@@ -543,7 +538,7 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent; 0 disables",
             check=_split_fraction),
         *_HYPERPARAMS,
-        Opt("init", "str", None, "warm-start checkpoint"),
+        Opt("init", "model", None, "warm-start checkpoint"),
         Opt("ckpt", "str", None, "where to save the trained checkpoint"),
         _SEED,
         _OUT,
@@ -563,11 +558,10 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
     ]),
     "pretrain-para": (_cmd_pretrain_para, [
         Opt("pairs", "str", required=True, help="TSV of anchor<TAB>paraphrase"),
-        Opt("n_target", "int", None, "candidate count per anchor (or derive via --target)"),
-        Opt("target", "str", None, "target task whose intent count sets n_target"),
+        Opt("n_target", "int", required=True, help="candidates per anchor: the target task's intent count",
+            check=_enough_candidates),
         Opt("max_words", "int", 10, "per-side word cap", low=1),
         Opt("max_chars", "int", 40, "per-side character cap", low=1),
-        _FORMAT,
         *_pretrain_hyperparams(),
         Opt("ckpt", "str", None, "where to save the pretrained checkpoint"),
         Opt("plans_out", "str", None, "audit JSONL of the generated plans"),
@@ -584,12 +578,12 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         Opt("dev_fraction", "float", 0.1, "dev split of each few-shot sample",
             check=_split_fraction),
         *_HYPERPARAMS,
-        Opt("init", "str", None, "warm-start checkpoint for every run"),
+        Opt("init", "model", None, "warm-start checkpoint for every run"),
         Opt("predictions_out", "str", None, "per-run predictions JSONL"),
         _OUT,
     ]),
     "zeroshot": (_cmd_zeroshot, [
-        Opt("ckpt", "str", required=True, help="pretrained checkpoint"),
+        Opt("ckpt", "model", required=True, help="pretrained checkpoint"),
         Opt("test", "str", required=True, help="test dataset"),
         _FORMAT,
         _INVENTORY,
@@ -598,7 +592,7 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "predict": (_cmd_predict, [
-        Opt("ckpt", "str", required=True, help="trained checkpoint"),
+        Opt("ckpt", "model", required=True, help="trained checkpoint"),
         Opt("inventory", "str", required=True, help="label inventory, one raw label per line"),
         *_GROUP_SIZE,
         _OUT,
@@ -616,7 +610,7 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "diagnose-topk": (_cmd_diagnose_topk, [
-        Opt("ckpt", "str", required=True, help="trained checkpoint"),
+        Opt("ckpt", "model", required=True, help="trained checkpoint"),
         Opt("test", "str", required=True, help="test dataset"),
         _FORMAT,
         _INVENTORY,
@@ -652,10 +646,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         negative = [s for s in (cfg.get("seed", 0), *cfg.get("seeds", ())) if s < 0]
         if negative:
             raise DataError(f"seeds must be non-negative, got {negative[0]}")
+        model = _load_model(args._opts, cfg, explicit)
         writer = _Writer(cfg.get("out"))
         try:
             writer.write({"record": "config", "command": args._command, "config": cfg})
-            args._func(cfg, explicit, writer)
+            with np.errstate(all="ignore"):  # the library's own checks raise NumericError
+                args._func(cfg, model, writer)
         finally:
             writer.close()
         return 0

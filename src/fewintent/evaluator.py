@@ -367,6 +367,8 @@ def sweep_k(
     k_values: Sequence[int],
 ) -> list[SweepRow]:
     """Train once per group size (shared seed) and score the dev split."""
+    if not k_values:
+        raise DataError("need at least one k value")
     if any(k < 1 for k in k_values):
         raise DataError("all k values must be >= 1")
     n = train_data.n_intents

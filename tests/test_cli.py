@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,25 @@ def records(path: Path):
 
 def by_record(path: Path, kind: str):
     return [r for r in records(path) if r["record"] == kind]
+
+
+def save_model(path: Path, data_path: Path, dims, attention=False):
+    """Save a checkpoint of layer widths `dims` (embedding first) over the
+    vocabulary of the JSONL dataset at `data_path`, with small seeded weights."""
+    from fewintent.corpus import load_dataset
+    from fewintent.encoder import ModelParams, build_vocab, param_shapes
+    from fewintent.trainer import save_checkpoint
+
+    vocab = build_vocab([load_dataset(data_path, "jsonl")])
+    count = sum(map(math.prod, param_shapes(len(vocab), dims, attention)))
+    flat = np.random.default_rng(0).normal(scale=0.1, size=count)
+    save_checkpoint(ModelParams.of_flat(flat, len(vocab), dims, attention), vocab, path)
+
+
+INIT_COMMANDS = [
+    ["train", "--train", "data/train.jsonl", "--dev-fraction", "0"],
+    ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl", "--shots", "2", "--seeds", "0"],
+]
 
 
 @pytest.fixture
@@ -267,6 +287,75 @@ class TestPipeline:
         assert len(plans) == 24 * 2
 
 
+    @pytest.mark.parametrize("n_dev, selection", [(16, "dev_accuracy"), (9, "train_loss")])
+    def test_train_dev_file_selects_by_its_size(self, synth_dir, n_dev, selection):
+        dev_lines = (synth_dir / "data/test.jsonl").read_text().splitlines()[:n_dev]
+        (synth_dir / "dev.jsonl").write_text("\n".join(dev_lines) + "\n")
+        out = run_cli(
+            ["train", "--train", "data/train.jsonl", "--dev", "dev.jsonl", "--k", "4",
+             *TINY, "--out", "t.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 0, out.stderr
+        assert by_record(synth_dir / "t.jsonl", "train_summary")[0]["selection"] == selection
+        epochs = by_record(synth_dir / "t.jsonl", "epoch")
+        assert all(("dev_accuracy" in e) == (selection == "dev_accuracy") for e in epochs)
+
+    def test_sweep_k_dev_file_is_scored(self, synth_dir):
+        from fewintent.corpus import load_dataset
+        from fewintent.evaluator import sweep_k
+        from fewintent.trainer import TrainConfig
+
+        out = run_cli(
+            ["sweep-k", "--train", "data/train.jsonl", "--dev", "data/test.jsonl",
+             "--k-values", "2,4", "--k-min", "2", *TINY, "--out", "s.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 0, out.stderr
+        # The whole training file trains and the whole --dev file is scored.
+        rows = sweep_k(
+            load_dataset(synth_dir / "data/train.jsonl", "jsonl"),
+            load_dataset(synth_dir / "data/test.jsonl", "jsonl"),
+            TrainConfig(k_min=2, d_emb=8, d_hidden=8, d_out=8, epochs=2), [2, 4],
+        )
+        got = by_record(synth_dir / "s.jsonl", "sweep_row")
+        assert [(r["k"], r["dev_accuracy"]) for r in got] == [(r.k, r.dev_accuracy) for r in rows]
+
+    @pytest.mark.parametrize("command", INIT_COMMANDS, ids=lambda command: command[0])
+    def test_warm_start_config_is_the_checkpoints_shape(self, synth_dir, command):
+        save_model(synth_dir / "m.ckpt", synth_dir / "data/train.jsonl", (16, 16, 16), attention=True)
+        out = run_cli([*command, "--k", "4", "--epochs", "1", "--init", "m.ckpt", "--out", "o.jsonl"],
+                      cwd=synth_dir)
+        assert out.returncode == 0, out.stderr
+        cfg = records(synth_dir / "o.jsonl")[0]["config"]
+        shape = {key: cfg[key] for key in ("d_emb", "d_hidden", "d_out", "projector_depth", "attention")}
+        assert shape == {"d_emb": 16, "d_hidden": 16, "d_out": 16, "projector_depth": 2, "attention": True}
+
+    @pytest.mark.parametrize(
+        "dims, d_hidden, code",
+        [((16, 12), "24", 0), ((16, 8, 12, 10), "8", 2)],
+        ids=["depth-1", "mixed-hidden"],
+    )
+    def test_warm_start_without_one_hidden_width_keeps_d_hidden(
+        self, synth_dir, monkeypatch, capsys, dims, d_hidden, code
+    ):
+        from fewintent import cli
+
+        save_model(synth_dir / "m.ckpt", synth_dir / "data/train.jsonl", dims)
+        monkeypatch.chdir(synth_dir)
+        args = [*INIT_COMMANDS[0], "--k", "4", "--epochs", "1", "--init", "m.ckpt", "--out", "t.jsonl"]
+        assert cli.main(args) == 0
+        cfg = records(synth_dir / "t.jsonl")[0]["config"]
+        assert (cfg["d_emb"], cfg["d_hidden"], cfg["d_out"]) == (16, 64, dims[-1])  # the default d_hidden
+        assert cfg["projector_depth"] == len(dims) - 1
+        # An explicit width must equal every hidden width; a depth-1 model has none.
+        assert cli.main([*args, "--d-hidden", d_hidden]) == code
+        if code:
+            assert "data error: checkpoint d_hidden is 12, configured 8" in capsys.readouterr().err
+        else:
+            assert records(synth_dir / "t.jsonl")[0]["config"]["d_hidden"] == 24
+
+
 def write_predict_inputs(synth_dir, extra=()):
     """Train `m.ckpt` on the synth task and write `inv.txt`, its label
     inventory in reverse order of first appearance."""
@@ -460,6 +549,103 @@ class TestExitCodes:
         assert "Traceback" not in out.stderr
         out = run_cli([*args, "--d-hidden", "16"], cwd=synth_dir)  # the checkpoint's own width
         assert out.returncode == 0, out.stderr
+
+    @pytest.mark.parametrize(
+        "ckpt, flags, message",
+        [
+            (None, [], "checkpoint not found"),
+            (b"not a checkpoint", [], "truncated checkpoint"),
+            ((8, 8, 8), ["--d-emb", "16"], "checkpoint d_emb is 8, configured 16"),
+            ((8, 8, 8), ["--attention"], "checkpoint attention is False, configured True"),
+        ],
+        ids=["missing", "corrupt", "d-emb", "attention"],
+    )
+    @pytest.mark.parametrize("command", INIT_COMMANDS, ids=lambda command: command[0])
+    def test_bad_init_is_2_before_output(self, synth_dir, monkeypatch, capsys, command, ckpt, flags, message):
+        from fewintent import cli
+
+        if isinstance(ckpt, bytes):
+            (synth_dir / "m.ckpt").write_bytes(ckpt)
+        elif ckpt is not None:
+            save_model(synth_dir / "m.ckpt", synth_dir / "data/train.jsonl", ckpt)
+        monkeypatch.chdir(synth_dir)
+        assert cli.main([*command, "--k", "4", "--epochs", "1", "--init", "m.ckpt", *flags,
+                         "--out", "o.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and message in err
+        assert not (synth_dir / "o.jsonl").exists()
+
+    @pytest.mark.parametrize("corrupt", [False, True], ids=["missing", "corrupt"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["zeroshot", "--test", "data/test.jsonl"],
+            ["predict", "--inventory", "inv.txt"],
+            ["diagnose-topk", "--test", "data/test.jsonl"],
+        ],
+        ids=lambda command: command[0],
+    )
+    def test_bad_ckpt_is_2_before_output(self, synth_dir, monkeypatch, capsys, command, corrupt):
+        from fewintent import cli
+
+        (synth_dir / "inv.txt").write_text("greet\nbye\n")
+        if corrupt:
+            save_model(synth_dir / "m.ckpt", synth_dir / "data/train.jsonl", (8, 8, 8))
+            raw = (synth_dir / "m.ckpt").read_bytes()
+            (synth_dir / "m.ckpt").write_bytes(raw[:-5] + bytes([raw[-5] ^ 1]) + raw[-4:])
+        monkeypatch.chdir(synth_dir)
+        assert cli.main([*command, "--ckpt", "m.ckpt", "--k", "2", "--out", "o.jsonl"]) == 2
+        err = capsys.readouterr().err
+        assert ("checksum mismatch" if corrupt else "checkpoint not found") in err
+        assert not (synth_dir / "o.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "lr_or_tau, message",
+        [
+            (["--learning-rate", "1e308"], "non-finite values in encoder output (check parameters)"),
+            (["--tau", "1e-320"], "training diverged: non-finite loss at epoch 0, batch 0"),
+        ],
+        ids=["learning-rate", "tau"],
+    )
+    def test_numeric_failure_prints_one_line(self, synth_dir, lr_or_tau, message):
+        out = run_cli(
+            ["train", "--train", "data/train.jsonl", "--k", "4", *TINY, "--dev-fraction", "0",
+             *lr_or_tau, "--out", "t.jsonl"],
+            cwd=synth_dir,
+        )
+        assert out.returncode == 3
+        assert out.stderr == f"numeric failure: {message}\n"
+
+    def test_sweep_k_without_k_values_is_2(self, synth_dir, monkeypatch, capsys):
+        from fewintent import cli
+
+        monkeypatch.chdir(synth_dir)
+        assert cli.main(["sweep-k", "--train", "data/train.jsonl", "--dev", "data/test.jsonl",
+                         "--k-values", ",", "--k-min", "2", "--out", "s.jsonl"]) == 2
+        assert "data error: need at least one k value" in capsys.readouterr().err
+        assert by_record(synth_dir / "s.jsonl", "sweep_row") == []
+
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "flag, line",
+        [(["--target", "data/train.jsonl"], "target = data/train.jsonl"),
+         (["--format", "jsonl"], "format = jsonl")],
+        ids=["target", "format"],
+    )
+    def test_pretrain_para_takes_only_n_target(self, synth_dir, monkeypatch, capsys, flag, line, how):
+        from fewintent import cli
+
+        (synth_dir / "pairs.tsv").write_text("alpha gamma\tbeta delta\n")
+        (synth_dir / "cfg.txt").write_text(line + "\n")
+        monkeypatch.chdir(synth_dir)
+        extra = flag if how == "flag" else ["--config", "cfg.txt"]
+        for n_target in (["--n-target", "3"], []):  # --n-target is the one way to set the count
+            assert cli.main(["pretrain-para", "--pairs", "pairs.tsv", *n_target, "--epochs", "1",
+                             *extra, "--out", "p.jsonl"]) == 1
+            assert "usage error" in capsys.readouterr().err
+        assert cli.main(["pretrain-para", "--pairs", "pairs.tsv", "--epochs", "1", "--out", "p.jsonl"]) == 1
+        assert "usage error: missing required option --n-target" in capsys.readouterr().err
+        assert not (synth_dir / "p.jsonl").exists()
 
     def test_eval_empty_seeds_is_2(self, synth_dir):
         out = run_cli(
@@ -711,6 +897,18 @@ class TestConfigMerge:
         assert sorted(fields) == sorted(f.name for f in dataclasses.fields(TrainConfig) if f.name != "seed")
         for opt, field in zip(cli._HYPERPARAMS, fields):
             assert opt.default == getattr(defaults, field), opt.name
+
+    def test_one_checkpoint_reader(self):
+        from fewintent import cli
+
+        # `main` reads each command's checkpoint once, through its model-kind option.
+        assert Path(cli.__file__).read_text(encoding="utf-8").count("load_checkpoint(") == 1
+        readers = {name: [o.name for o in opts if o.kind == "model"] for name, (_, opts) in cli._COMMANDS.items()}
+        assert readers == {
+            "synth": [], "ingest": [], "train": ["init"], "pretrain-ood": [], "pretrain-para": [],
+            "eval": ["init"], "zeroshot": ["ckpt"], "predict": ["ckpt"], "sweep-k": [],
+            "diagnose-topk": ["ckpt"],
+        }
 
 
 class TestDeterminism:

@@ -109,6 +109,30 @@ def _enough_candidates(value: int) -> None:
         raise DataError(f"need at least 2 candidates, got {value}")
 
 
+def _at_least_one(noun: str) -> Callable[[list], None]:
+    """A check that a list option holds at least one entry."""
+    def check(values: list) -> None:
+        if not values:
+            raise DataError(f"need at least one {noun}")
+    return check
+
+
+def _input_files(noun: str) -> Callable[[object], None]:
+    """A check that the path, or each of at least one path, an option names
+    is a file: a missing input ends the run before any output."""
+    def check(value) -> None:
+        paths = value if isinstance(value, list) else [value]
+        if not paths:
+            raise DataError(f"need at least one {noun} file")
+        for path in paths:
+            if not Path(path).is_file():
+                raise DataError(f"{noun} file not found: {path}")
+    return check
+
+
+_DATASET = _input_files("dataset")
+
+
 def _split_fraction(value: float) -> None:
     """A fraction of 0 or less means no dev set; `split_dev` takes one below 1."""
     if not value < 1:  # NaN too
@@ -118,7 +142,8 @@ def _split_fraction(value: float) -> None:
 _GROUP_SIZE = [o for o in _HYPERPARAMS if o.name in ("k", "k_min", "k_max")]
 _FORMAT = Opt("format", "str", None, "csv or jsonl; inferred from the extension when omitted",
               check=_known_format)
-_INVENTORY = Opt("inventory", "str", None, "label-inventory sidecar, one raw label per line")
+_INVENTORY = Opt("inventory", "str", None, "label-inventory sidecar, one raw label per line",
+                 check=_input_files("inventory"))
 _OUT = Opt("out", "str", None, "metrics JSONL path (default: stdout)")
 _SEED = Opt("seed", "int", 0, "seed governing all randomness in this run")
 
@@ -525,16 +550,16 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "ingest": (_cmd_ingest, [
-        Opt("input", "str", required=True, help="dataset file"),
+        Opt("input", "str", required=True, help="dataset file", check=_DATASET),
         _FORMAT,
         _INVENTORY,
         _OUT,
     ]),
     "train": (_cmd_train, [
-        Opt("train", "str", required=True, help="training dataset"),
+        Opt("train", "str", required=True, help="training dataset", check=_DATASET),
         _FORMAT,
         _INVENTORY,
-        Opt("dev", "str", None, "explicit dev dataset"),
+        Opt("dev", "str", None, "explicit dev dataset", check=_DATASET),
         Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent; 0 disables",
             check=_split_fraction),
         *_HYPERPARAMS,
@@ -544,8 +569,9 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "pretrain-ood": (_cmd_pretrain_ood, [
-        Opt("target", "str", required=True, help="target task (fixes group size and vocabulary)"),
-        Opt("others", "strlist", required=True, help="comma-separated source datasets"),
+        Opt("target", "str", required=True, help="target task (fixes group size and vocabulary)",
+            check=_DATASET),
+        Opt("others", "strlist", required=True, help="comma-separated source datasets", check=_DATASET),
         _FORMAT,
         Opt("exclude_domains", "strlist", [], "domains dropped from the sources"),
         Opt("dev_fraction", "float", 0.1, "dev split of the pooled data; 0 disables",
@@ -557,7 +583,8 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "pretrain-para": (_cmd_pretrain_para, [
-        Opt("pairs", "str", required=True, help="TSV of anchor<TAB>paraphrase"),
+        Opt("pairs", "str", required=True, help="TSV of anchor<TAB>paraphrase",
+            check=_input_files("paraphrase")),
         Opt("n_target", "int", required=True, help="candidates per anchor: the target task's intent count",
             check=_enough_candidates),
         Opt("max_words", "int", 10, "per-side word cap", low=1),
@@ -569,12 +596,12 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "eval": (_cmd_eval, [
-        Opt("train", "str", required=True, help="training pool"),
-        Opt("test", "str", required=True, help="test dataset"),
+        Opt("train", "str", required=True, help="training pool", check=_DATASET),
+        Opt("test", "str", required=True, help="test dataset", check=_DATASET),
         _FORMAT,
         _INVENTORY,
         Opt("shots", "int", required=True, help="examples sampled per intent per run", low=1),
-        Opt("seeds", "intlist", [0, 1, 2], "one run per seed"),
+        Opt("seeds", "intlist", [0, 1, 2], "one run per seed", check=_at_least_one("seed")),
         Opt("dev_fraction", "float", 0.1, "dev split of each few-shot sample",
             check=_split_fraction),
         *_HYPERPARAMS,
@@ -584,7 +611,7 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
     ]),
     "zeroshot": (_cmd_zeroshot, [
         Opt("ckpt", "model", required=True, help="pretrained checkpoint"),
-        Opt("test", "str", required=True, help="test dataset"),
+        Opt("test", "str", required=True, help="test dataset", check=_DATASET),
         _FORMAT,
         _INVENTORY,
         *_GROUP_SIZE,
@@ -593,25 +620,27 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
     ]),
     "predict": (_cmd_predict, [
         Opt("ckpt", "model", required=True, help="trained checkpoint"),
-        Opt("inventory", "str", required=True, help="label inventory, one raw label per line"),
+        Opt("inventory", "str", required=True, help="label inventory, one raw label per line",
+            check=_input_files("inventory")),
         *_GROUP_SIZE,
         _OUT,
     ]),
     "sweep-k": (_cmd_sweep_k, [
-        Opt("train", "str", required=True, help="training dataset"),
+        Opt("train", "str", required=True, help="training dataset", check=_DATASET),
         _FORMAT,
         _INVENTORY,
-        Opt("dev", "str", None, "explicit dev dataset"),
+        Opt("dev", "str", None, "explicit dev dataset", check=_DATASET),
         Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent",
             check=_split_fraction),
-        Opt("k_values", "intlist", required=True, help="group sizes to sweep, e.g. 2,10,20", low=1),
+        Opt("k_values", "intlist", required=True, help="group sizes to sweep, e.g. 2,10,20", low=1,
+            check=_at_least_one("k value")),
         *[o for o in _HYPERPARAMS if o.name != "k"],
         _SEED,
         _OUT,
     ]),
     "diagnose-topk": (_cmd_diagnose_topk, [
         Opt("ckpt", "model", required=True, help="trained checkpoint"),
-        Opt("test", "str", required=True, help="test dataset"),
+        Opt("test", "str", required=True, help="test dataset", check=_DATASET),
         _FORMAT,
         _INVENTORY,
         *_GROUP_SIZE,

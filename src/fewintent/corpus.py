@@ -107,6 +107,8 @@ def inventory_labels(path: str | Path) -> tuple[IntentLabel, ...]:
     file order; raw names that normalize to one surface are one intent,
     named by the first."""
     path = Path(path)
+    if not path.is_file():
+        raise DataError(f"inventory file not found: {path}")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -10,9 +10,12 @@ array is a view of one float64 vector, which the optimizer, checkpoints,
 `grad_check` and the label index each handle as one array.
 
 Training runs one batch kernel (`loss_and_param_grads`): one projector pass,
-array loss, backward pass and embedding scatter per batch, with each distinct
-span of an attention-free batch encoded once. Every path pools a span to the
-mean of its token rows with `ndarray.mean`'s bits.
+array loss, backward pass and embedding scatter per batch. Without attention
+a run's plans are compiled once into a `SpanTable`, every distinct span once
+and per plan its row of span ids and loss targets; a batch (`PlanBatch`) is
+the rows of the plans it picks, and each of its distinct spans is encoded
+once. Every path pools a span to the mean of its token rows with
+`ndarray.mean`'s bits.
 
 The encoder has no positional signal, so equal tokens in a sequence have
 equal query rows. Attention therefore runs over a sequence's distinct tokens
@@ -184,6 +187,84 @@ def tokenize(plan: SequencePlan, labels: Sequence[IntentLabel], vocab: Vocabular
     return lay_out(plan, labels, plan_word_ids([(plan, labels)], vocab))
 
 
+@dataclass(frozen=True, eq=False)
+class SpanTable:
+    """Plans compiled for the attention-free kernel: every distinct span (a
+    tuple of token ids: an utterance, a label surface or the placeholder)
+    once, and per plan its row of span ids with its `loss_targets`.
+
+    Spans are keyed by token ids, not by intent: an intent id names
+    different labels in different inventories, and one surface may stand
+    under different ids.
+    """
+
+    tokens: np.ndarray  # (spans, longest span) token ids, each row padded (`_padded`)
+    lengths: np.ndarray  # (spans,)
+    rows: np.ndarray  # (plans, 1 + most slots): the utterance's span id, then each slot's; padded
+    slots: np.ndarray  # (plans,) slot count
+    candidates: np.ndarray  # (plans, most slots) and (plans,): `loss_targets` of every plan
+    gold: np.ndarray
+
+    @classmethod
+    def of_spans(cls, spans: Iterable[Sequence[tuple[int, ...]]], targets: Sequence) -> SpanTable:
+        """The table of plans given as their spans' token ids (utterance
+        first) and as `targets`, the objects `loss_targets` reads, in one order."""
+        index: dict[tuple[int, ...], int] = {}
+        rows, counts = _padded([index.setdefault(span, len(index)) for span in plan] for plan in spans)
+        return cls(*_padded(index), rows, counts - 1, *loss_targets(targets))
+
+    @classmethod
+    def of_plans(
+        cls, pairs: Sequence[tuple[SequencePlan, Sequence[IntentLabel]]], word_ids: dict[str, tuple[int, ...]]
+    ) -> SpanTable:
+        """The table of (plan, labels) pairs, from their `plan_word_ids`."""
+        plh = (PLH_ID,)
+        spans = (
+            [word_ids[plan.utterance.text],
+             *(plh if i == PLACEHOLDER else word_ids[labels[i].surface] for i in plan.group.slots)]
+            for plan, labels in pairs
+        )
+        return cls.of_spans(spans, [plan for plan, _ in pairs])
+
+    def batch(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The plans at `picks` as a batch: its distinct span ids in order of
+        first appearance, each plan's row of positions in them (utterance,
+        then slots, padded with 0, which the candidate mask leaves out), and
+        the candidate mask and gold slots, as wide as the most slots picked."""
+        slots = self.slots[picks]
+        width = 1 + slots.max()
+        block = self.rows[picks, :width]
+        spans, first, inverse = np.unique(block.ravel(), return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        local = position[inverse].reshape(block.shape)
+        local[np.arange(width) > slots[:, None]] = 0
+        return spans[order], local, self.candidates[picks, : width - 1], self.gold[picks]
+
+
+class PlanBatch(Sequence[TokenizedSequence]):
+    """The plans at `picks` of a run's (plan, labels) `pairs`, as a batch.
+
+    The attention-free kernel reads their rows of the run's `SpanTable`
+    (`table`, None for a model with attention). An item is laid out from the
+    run's `word_ids` (`lay_out`) only when it is read.
+    """
+
+    def __init__(self, pairs, word_ids: dict[str, tuple[int, ...]], table: SpanTable | None, picks: np.ndarray):
+        self.pairs, self.word_ids, self.table, self.picks = pairs, word_ids, table, picks
+
+    def __len__(self) -> int:
+        return len(self.picks)
+
+    def __getitem__(self, i: int) -> TokenizedSequence:
+        return lay_out(*self.pairs[self.picks[i]], self.word_ids)
+
+    @property
+    def plans(self) -> list[SequencePlan]:
+        return [self.pairs[i][0] for i in self.picks]
+
+
 def param_shapes(vocab_size: int, dims: Sequence[int], attention: bool) -> list[tuple[int, ...]]:
     """Each parameter array's shape in `ModelParams.flat` order, from the
     layer widths `dims` (embedding first): the embedding table, each projector
@@ -336,12 +417,24 @@ def _project(params: ModelParams, z: np.ndarray) -> tuple[list[np.ndarray], np.n
     return acts, h
 
 
+def _padded(rows: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """`rows` as one matrix, each row padded with its own first entry, and
+    their lengths."""
+    rows = list(rows)
+    lengths = np.fromiter(map(len, rows), np.intp, len(rows))
+    flat = np.fromiter(chain.from_iterable(rows), np.intp, lengths.sum())
+    out = np.repeat(flat[np.cumsum(lengths) - lengths][:, None], lengths.max(initial=0), axis=1)
+    out[np.arange(out.shape[1]) < lengths[:, None]] = flat
+    return out, lengths
+
+
 def _pool(x: np.ndarray, spans: Sequence[Sequence[int]]) -> np.ndarray:
     """The mean of the rows of `x` at each span's indices, with `ndarray.mean`'s bits.
 
     Spans of one length are gathered as one stack and summed along it, then
     divided by the count: a slice mean's bits at any length and width, which
-    `np.add.reduceat` does not give. Every encoder path pools through here.
+    `np.add.reduceat` does not give. Every encoder path pools this way, here
+    or, for spans held as rows of a padded index, in `_pool_padded`.
     """
     out = np.empty((len(spans), x.shape[1]))
     by_length: dict[int, list[int]] = {}
@@ -350,6 +443,16 @@ def _pool(x: np.ndarray, spans: Sequence[Sequence[int]]) -> np.ndarray:
     for n, rows in by_length.items():
         index = np.fromiter(chain.from_iterable([spans[r] for r in rows]), np.intp, len(rows) * n)
         out[rows] = x[index.reshape(len(rows), n)].sum(axis=1) / n
+    return out
+
+
+def _pool_padded(x: np.ndarray, index: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`_pool` of the spans ``index[i, :lengths[i]]``, with the same stacks in
+    the same order, so the same bits."""
+    out = np.empty((len(lengths), x.shape[1]))
+    for n in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == n)
+        out[rows] = x[index[rows, :n]].sum(axis=1) / n
     return out
 
 
@@ -472,54 +575,55 @@ def loss_and_param_grads(
     `batch_loss` and one backward pass, and the embedding gradient is
     scattered once. Without attention a span's row depends on its token ids
     alone, so each distinct utterance or label is one row however often it
-    recurs (keyed by token ids: an intent id names different labels in
-    different inventories). With attention each sequence is attended on its
-    own, over its distinct tokens, and keeps its own rows; this forward pass
-    (`_forward`) is the one `encode` and attention prediction run.
+    recurs: the batch's rows of a `SpanTable` (a `PlanBatch` carries its
+    run's; a plain list is compiled into one here) name its distinct spans.
+    With attention each sequence is attended on its own, over its distinct
+    tokens, and keeps its own rows; this forward pass (`_forward`) is the one
+    `encode` and attention prediction run.
     """
-    if not batch:
+    if not len(batch):
         raise DataError("empty batch")
     if params.has_attention:
+        batch = list(batch)  # a `PlanBatch` lays out each item as it is read
         attended = [_attended(params, seq.token_ids) for seq in batch]
         starts, spans, acts, h = _forward(params, batch, [rows for _, rows, _ in attended])
+        # Each sequence's utterance row, then its slot rows; a sequence with
+        # fewer slots is padded with row 0, which its candidate mask leaves out.
         firsts = np.cumsum([0] + [1 + len(seq.slot_spans) for seq in batch]).tolist()
-        span_rows = [range(first, end) for first, end in zip(firsts, firsts[1:])]
+        table = np.zeros((len(batch), max(np.diff(firsts))), dtype=np.intp)
+        for row, first, end in zip(table, firsts, firsts[1:]):
+            row[: end - first] = range(first, end)
+        candidates, gold = loss_targets(batch)
+        lengths = np.array([len(span) for span in spans])
     else:
-        row_of: dict[tuple[int, ...], int] = {}
-        span_rows = [
-            [row_of.setdefault(seq.token_ids[s:e], len(row_of)) for s, e in _spans(seq)]
-            for seq in batch
-        ]
-        spans = list(row_of)
-        acts, h = _project(params, _pool(params.embedding, spans))
-    # Each sequence's utterance row, then its slot rows; a sequence with
-    # fewer slots is padded with row 0, which its candidate mask leaves out.
-    table = np.zeros((len(batch), max(map(len, span_rows))), dtype=np.intp)
-    for row, rows in zip(table, span_rows):
-        row[: len(rows)] = rows
+        if isinstance(batch, PlanBatch) and batch.table is not None:
+            compiled, picks = batch.table, batch.picks
+        else:  # a list of sequences, as `grad_check` takes
+            batch = list(batch)
+            compiled = SpanTable.of_spans(([seq.token_ids[s:e] for s, e in _spans(seq)] for seq in batch), batch)
+            picks = np.arange(len(batch))
+        ids, table, candidates, gold = compiled.batch(picks)
+        tokens, lengths = compiled.tokens[ids], compiled.lengths[ids]
+        acts, h = _project(params, _pool_padded(params.embedding, tokens, lengths))
 
-    candidates, gold = loss_targets(batch)
     loss, dh_u, dh_slots = batch_loss(h[table[:, 0]], h[table[:, 1:]], candidates, gold, cfg)
     dh = np.concatenate([dh_u[:, None], dh_slots], axis=1).reshape(-1, h.shape[1])
     grads = params.zeros_like()
     dz = _project_backward(params, acts, _row_sums(table.ravel(), dh, len(h)), grads)
 
-    # Each span entry's share of its row's gradient, and the row of `x` it pooled.
-    lengths = [len(span) for span in spans]
-    dx = np.repeat(dz / np.array(lengths)[:, None], lengths, axis=0)
-    entry_rows = [r for span in spans for r in span]
+    # Each span entry's share of its row's gradient, binned by the row of `x` it pooled.
+    dx = np.repeat(dz / lengths[:, None], lengths, axis=0)
     if params.has_attention:
         dy = np.zeros((starts[-1], params.d_emb))
-        dy[entry_rows] = dx
+        dy[[r for span in spans for r in span]] = dx
         dx = np.concatenate([
             _attend_backward(params, cache, dy[start:end], grads)
             for (_, _, cache), start, end in zip(attended, starts, starts[1:])
         ])
         token_ids = [t for distinct_ids, *_ in attended for t in distinct_ids]
     else:
-        token_ids = entry_rows  # rows of the embedding table
-    rows, inverse = np.unique(token_ids, return_inverse=True)
-    grads.embedding[rows] = _row_sums(inverse, dx, len(rows))
+        token_ids = tokens[np.arange(tokens.shape[1]) < lengths[:, None]]
+    grads.embedding[:] = _row_sums(token_ids, dx, params.vocab_size)
     return loss, grads
 
 

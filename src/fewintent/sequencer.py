@@ -41,6 +41,10 @@ class SequencePlan:
     group: IntentGroup
     gold_slot: int | None
 
+    @property
+    def slot_intents(self) -> tuple[int, ...]:
+        return self.group.slots
+
 
 def choose_k(n: int, k_min: int, k_max: int) -> int:
     """Pick the group size in [k_min, min(k_max, n)] that minimizes padding.

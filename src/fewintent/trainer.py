@@ -6,9 +6,11 @@ dev accuracy selects the best epoch. Fine-tuning and out-of-domain
 pretraining both run `train`; paraphrase pretraining feeds its own items to `fit_items`.
 
 Every epoch runs each plan as built, `shuffles_per_sequence` (default k)
-times, in seeded order; each batch is laid out from word ids computed once
-a run. It steps Adam on exact batch gradients and tracks the best epoch
-by dev accuracy or training loss. The optimizer and checkpoints handle the
+times, in seeded order. Texts are tokenized once a run; without attention
+the plans are compiled once into a span table and a batch is the rows of
+its picks, and with attention each batch is laid out when it runs. It steps
+Adam on exact batch gradients and tracks the best epoch by dev accuracy or
+training loss. The optimizer and checkpoints handle the
 parameters as the one vector `ModelParams.flat`: a step is one pass over it,
 and a checkpoint stores it, with the vocabulary, bit-exactly.
 """
@@ -28,10 +30,11 @@ import numpy as np
 from .corpus import Dataset, split_dev
 from .encoder import (
     ModelParams,
+    PlanBatch,
+    SpanTable,
     Vocabulary,
     build_vocab,
     init_params,
-    lay_out,
     loss_and_param_grads,
     param_shapes,
     plan_word_ids,
@@ -141,25 +144,29 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Kingma & Ba's defaults
 
 
 class _Adam:
+    """Adam over `ModelParams.flat`; the moments and two work buffers are
+    allocated at the first step and reused by every later one."""
+
     def __init__(self, lr: float):
         self.lr = lr
         self.t = 0
         self.m: np.ndarray | None = None
-        self.v: np.ndarray | None = None
 
     def step(self, params: ModelParams, grads: ModelParams):
         if self.m is None:
-            self.m = np.zeros_like(params.flat)
-            self.v = np.zeros_like(params.flat)
+            self.m, self.v, self._a, self._b = (np.zeros_like(params.flat) for _ in range(4))
         self.t += 1
         b1t = 1.0 - ADAM_BETA1**self.t
         b2t = 1.0 - ADAM_BETA2**self.t
-        m, v, g = self.m, self.v, grads.flat
+        m, v, g, a, b = self.m, self.v, grads.flat, self._a, self._b
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g;  flat -= lr (m / b1t) / (sqrt(v / b2t) + eps)
         m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
+        m += np.multiply(1.0 - ADAM_BETA1, g, out=a)
         v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        params.flat -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPS)
+        v += np.multiply(np.multiply(1.0 - ADAM_BETA2, g, out=a), g, out=a)
+        np.multiply(self.lr, np.divide(m, b1t, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, b2t, out=b), out=b), ADAM_EPS, out=b)
+        params.flat -= np.divide(a, b, out=a)
 
 
 def fit_items(
@@ -189,9 +196,10 @@ def fit_items(
 
     plans = [(plan, item.labels) for item in items for plan in item.plans]
     word_ids = plan_word_ids(plans, vocab)  # every text tokenized once a run
+    table = None if params.has_attention else SpanTable.of_plans(plans, word_ids)
     # Each plan runs as built, `shuffles_per_sequence` (default k) times an epoch. With no
     # positional signal in the encoder, a slot-shuffled copy would only repeat its gradients.
-    pool = [p for p in plans for _ in range(cfg.shuffles_per_sequence or p[0].group.k)]
+    pool = np.repeat(np.arange(len(plans)), [cfg.shuffles_per_sequence or p.group.k for p, _ in plans])
 
     for epoch in range(cfg.epochs):
         rng = np.random.default_rng([cfg.seed, epoch])
@@ -201,15 +209,14 @@ def fit_items(
 
         total = 0.0
         for start in range(0, len(order), cfg.batch_size):
-            picks = order[start : start + cfg.batch_size]
-            seqs = [lay_out(*pool[i], word_ids) for i in picks]
-            loss, grads = loss_and_param_grads(params, seqs, loss_cfg)
+            batch = PlanBatch(plans, word_ids, table, pool[order[start : start + cfg.batch_size]])
+            loss, grads = loss_and_param_grads(params, batch, loss_cfg)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"training diverged: non-finite loss at epoch {epoch}, batch {start // cfg.batch_size}"
                 )
             opt.step(params, grads)
-            total += loss * len(picks)
+            total += loss * len(batch)
         epoch_loss = total / len(pool)
         losses.append(epoch_loss)
 

@@ -623,7 +623,7 @@ class TestExitCodes:
         assert cli.main(["sweep-k", "--train", "data/train.jsonl", "--dev", "data/test.jsonl",
                          "--k-values", ",", "--k-min", "2", "--out", "s.jsonl"]) == 2
         assert "data error: need at least one k value" in capsys.readouterr().err
-        assert by_record(synth_dir / "s.jsonl", "sweep_row") == []
+        assert not (synth_dir / "s.jsonl").exists()  # no config or choose_k record either
 
     @pytest.mark.parametrize("how", ["flag", "config"])
     @pytest.mark.parametrize(
@@ -646,6 +646,49 @@ class TestExitCodes:
         assert cli.main(["pretrain-para", "--pairs", "pairs.tsv", "--epochs", "1", "--out", "p.jsonl"]) == 1
         assert "usage error: missing required option --n-target" in capsys.readouterr().err
         assert not (synth_dir / "p.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["train", "--train", "nope.jsonl"], "dataset file not found: nope.jsonl"),
+            (["train", "--train", "data/train.jsonl", "--dev", "nope.jsonl"], "dataset file not found: nope.jsonl"),
+            (["eval", "--train", "data/train.jsonl", "--test", "nope.jsonl", "--shots", "2"],
+             "dataset file not found: nope.jsonl"),
+            (["pretrain-ood", "--target", "data/train.jsonl", "--others", "data/test.jsonl,nope.jsonl"],
+             "dataset file not found: nope.jsonl"),
+            (["pretrain-para", "--pairs", "nope.tsv", "--n-target", "3"], "paraphrase file not found: nope.tsv"),
+            (["predict", "--ckpt", "m.ckpt", "--inventory", "nope.txt"], "inventory file not found: nope.txt"),
+            (["zeroshot", "--ckpt", "m.ckpt", "--test", "data/test.jsonl", "--inventory", "nope.txt"],
+             "inventory file not found: nope.txt"),
+        ],
+        ids=["train", "dev", "eval-test", "ood-others", "para-pairs", "predict-inventory", "zeroshot-inventory"],
+    )
+    def test_missing_input_file_is_2_before_output(self, synth_dir, monkeypatch, capsys, args, message):
+        from fewintent import cli
+
+        save_model(synth_dir / "m.ckpt", synth_dir / "data/train.jsonl", [8, 8])
+        monkeypatch.chdir(synth_dir)
+        assert cli.main([*args, "--out", "o.jsonl"]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (synth_dir / "o.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl", "--shots", "2",
+              "--seeds", ","], "need at least one seed"),
+            (["pretrain-ood", "--target", "data/train.jsonl", "--others", ","],
+             "need at least one dataset file"),
+        ],
+        ids=["eval-seeds", "ood-others"],  # sweep-k: test_sweep_k_without_k_values_is_2
+    )
+    def test_empty_list_is_2_before_output(self, synth_dir, monkeypatch, capsys, args, message):
+        from fewintent import cli
+
+        monkeypatch.chdir(synth_dir)
+        assert cli.main([*args, "--out", "o.jsonl"]) == 2
+        assert capsys.readouterr().err == f"data error: {message}\n"
+        assert not (synth_dir / "o.jsonl").exists()
 
     def test_eval_empty_seeds_is_2(self, synth_dir):
         out = run_cli(

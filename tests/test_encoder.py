@@ -10,6 +10,8 @@ from fewintent.encoder import (
     SEP_ID,
     UNK_ID,
     ModelParams,
+    PlanBatch,
+    SpanTable,
     TokenizedSequence,
     _pool,
     _project,
@@ -37,6 +39,7 @@ from fewintent.sequencer import (
 
 from conftest import make_dataset, run_python
 
+import keyed_batch
 import per_sequence
 
 
@@ -446,6 +449,69 @@ class TestAgainstPerSequenceReference:
     def test_grad_check_on_batch_with_repeats_and_placeholders(self):
         vocab, seqs = small_batch(n_intents=5, k=3)
         batch = seqs[:5] + seqs[:2]
+        params = init_params(len(vocab), 12, 12, 12, seed=4)
+        assert grad_check(params, batch, n_coords=300, seed=2) < 1e-4
+
+
+def two_inventory_table():
+    """(plan, labels) pairs over two inventories that share surfaces under
+    different intent ids, grouped in threes and in twos (each with a
+    placeholder slot), with utterances that recur across items; with their
+    vocabulary, `plan_word_ids` and `SpanTable`."""
+    first = tuple(IntentLabel(i, f"a{i}", s) for i, s in
+                  enumerate(("card arrival", "freeze", "top up", "lost card", "pin")))
+    second = tuple(IntentLabel(i, f"b{i}", s) for i, s in enumerate(("freeze", "refund", "card arrival")))
+    texts = ("freeze my card", "where is my card", "top up failed", "refund please", "freeze")
+    pairs = []
+    for labels, k in ((first, 3), (second, 2)):
+        groups = partition_intents(labels, k)
+        for n, text in enumerate(texts):
+            pairs += [(plan, labels) for plan in build_plans(LabeledUtterance(text, n % len(labels)), groups)]
+    vocab = build_vocab([texts, ("card arrival lost pin",)])
+    word_ids = plan_word_ids(pairs, vocab)
+    return pairs, vocab, word_ids, SpanTable.of_plans(pairs, word_ids)
+
+
+class TestAgainstKeyedReference:
+    """The compiled attention-free kernel against the per-batch keyed kernel
+    it replaced: the same loss and the same gradient bits."""
+
+    @staticmethod
+    def assert_same_bits(params, batch, reference_batch):
+        want_loss, want = keyed_batch.loss_and_param_grads(params, reference_batch, LossConfig(0.1))
+        loss, got = loss_and_param_grads(params, batch, LossConfig(0.1))
+        assert loss == want_loss
+        for g, w in zip(got.arrays(), want.arrays()):
+            assert np.array_equal(g, w)
+            assert np.array_equal(g.view(np.int64), w.view(np.int64))
+
+    @settings(max_examples=150, deadline=None)
+    @given(batch=batches(), depth=st.sampled_from([1, 2]), seed=st.integers(0, 2**16))
+    def test_sequence_lists(self, batch, depth, seed):
+        params = wide_params(depth, False, seed)
+        self.assert_same_bits(params, batch, batch)
+
+    @settings(max_examples=100, deadline=None)
+    @given(picks=st.lists(st.integers(0, 19), min_size=1, max_size=10), seed=st.integers(0, 2**16))
+    def test_plan_batches(self, picks, seed):
+        # Plans picked twice, plans of 3 and of 2 slots, placeholder slots,
+        # and "freeze" as intent 1 in one inventory and intent 0 in the other.
+        pairs, vocab, word_ids, table = two_inventory_table()
+        batch = PlanBatch(pairs, word_ids, table, np.array(picks))
+        params = init_params(len(vocab), 8, 8, 8, seed=seed)
+        laid = [lay_out(*pairs[i], word_ids) for i in picks]
+        assert list(batch) == laid
+        ids, rows, _, _ = table.batch(batch.picks)
+        spans, keyed = keyed_batch.keyed_rows(laid)
+        tokens, lengths = table.tokens[ids], table.lengths[ids]
+        assert [tuple(t[:n]) for t, n in zip(tokens.tolist(), lengths.tolist())] == spans
+        assert np.array_equal(rows, keyed)
+        self.assert_same_bits(params, batch, laid)
+
+    def test_grad_check_on_plan_batch(self):
+        pairs, vocab, word_ids, table = two_inventory_table()
+        picks = np.array([0, 3, 3, 9, 12, 15, 19, 19])  # both inventories, a placeholder slot in each
+        batch = PlanBatch(pairs, word_ids, table, picks)
         params = init_params(len(vocab), 12, 12, 12, seed=4)
         assert grad_check(params, batch, n_coords=300, seed=2) < 1e-4
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fewintent import trainer
+from fewintent import encoder, trainer
 from fewintent.corpus import IntentLabel, LabeledUtterance, split_dev
 from fewintent.encoder import (
     UNK_ID,
@@ -152,23 +152,18 @@ def shuffled_copy_schedule(items, vocab, params, cfg):
 
 def recorded_schedule(items, vocab, params, cfg, monkeypatch):
     """`fit_items` on the same inputs, with the same return shape as
-    `shuffled_copy_schedule`, read off its `lay_out` and gradient calls."""
-    batches, epoch_batches, pending = [], [], []
+    `shuffled_copy_schedule`, read off the plans of each batch it hands to
+    the gradient kernel."""
+    batches, epoch_batches = [], []
 
-    def record_lay_out(plan, labels, word_ids):
-        pending.append((plan.utterance, plan.group.index))
-        return lay_out(plan, labels, word_ids)
-
-    def record_batch(params, seqs, cfg):
-        epoch_batches.append(pending[:])
-        pending.clear()
-        return loss_and_param_grads(params, seqs, cfg)
+    def record_batch(params, batch, cfg):
+        epoch_batches.append([(plan.utterance, plan.group.index) for plan in batch.plans])
+        return loss_and_param_grads(params, batch, cfg)
 
     def end_epoch(record):
         batches.append(epoch_batches[:])
         epoch_batches.clear()
 
-    monkeypatch.setattr(trainer, "lay_out", record_lay_out)
     monkeypatch.setattr(trainer, "loss_and_param_grads", record_batch)
     _, report = fit_items(items, vocab, params, cfg, log=end_epoch)
     return report.epoch_losses, batches
@@ -230,16 +225,35 @@ class TestAgainstShuffledCopies:
         items = dataset_items(data, cfg.k)
         seen = []
 
-        def record_lay_out(plan, labels, word_ids):
-            seen.append(plan)
-            return lay_out(plan, labels, word_ids)
+        def record_batch(params, batch, cfg):
+            seen.extend(batch.plans)
+            return loss_and_param_grads(params, batch, cfg)
 
-        monkeypatch.setattr(trainer, "lay_out", record_lay_out)
+        monkeypatch.setattr(trainer, "loss_and_param_grads", record_batch)
         vocab = build_vocab([data])
         fit_items(items, vocab, cfg.new_params(vocab), cfg)
         built = {plan for item in items for plan in item.plans}
         assert set(seen) == built
         assert len(seen) == len(built) * cfg.shuffles_per_sequence
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_attention_free_runs_lay_out_nothing(self, attention, monkeypatch):
+        # Without attention a batch is rows of the run's span table; with it
+        # every run of a plan is laid out once, when its batch runs.
+        data = make_dataset(n_intents=5, per_intent=2)
+        cfg = small_cfg(k=3, epochs=2, attention=attention)
+        items = dataset_items(data, cfg.k)
+        calls = []
+
+        def record_lay_out(plan, labels, word_ids):
+            calls.append(plan)
+            return lay_out(plan, labels, word_ids)
+
+        monkeypatch.setattr(encoder, "lay_out", record_lay_out)
+        vocab = build_vocab([data])
+        fit_items(items, vocab, cfg.new_params(vocab), cfg)
+        runs = sum(len(item.plans) for item in items) * cfg.shuffles_per_sequence * cfg.epochs
+        assert len(calls) == (runs if attention else 0)
 
 
 class TestTokenizeOnce:

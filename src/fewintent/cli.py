@@ -22,7 +22,8 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .corpus import (
-    Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl, write_jsonl,
+    Dataset, build_ood, input_file, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl,
+    write_jsonl,
 )
 from .encoder import build_vocab, utterance_token_ids
 from .errors import DataError, NumericError
@@ -118,15 +119,19 @@ def _at_least_one(noun: str) -> Callable[[list], None]:
 
 
 def _input_files(noun: str) -> Callable[[object], None]:
-    """A check that the path, or each of at least one path, an option names
-    is a file: a missing input ends the run before any output."""
+    """A check that the path, or each path, an option names is a file
+    (`input_file`): a missing input ends the run before any output."""
     def check(value) -> None:
-        paths = value if isinstance(value, list) else [value]
-        if not paths:
-            raise DataError(f"need at least one {noun} file")
-        for path in paths:
-            if not Path(path).is_file():
-                raise DataError(f"{noun} file not found: {path}")
+        for path in value if isinstance(value, list) else [value]:
+            input_file(path, noun)
+    return check
+
+
+def _all_of(*checks: Callable[[object], None]) -> Callable[[object], None]:
+    """A check that runs each of `checks` in turn."""
+    def check(value) -> None:
+        for each in checks:
+            each(value)
     return check
 
 
@@ -571,7 +576,8 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
     "pretrain-ood": (_cmd_pretrain_ood, [
         Opt("target", "str", required=True, help="target task (fixes group size and vocabulary)",
             check=_DATASET),
-        Opt("others", "strlist", required=True, help="comma-separated source datasets", check=_DATASET),
+        Opt("others", "strlist", required=True, help="comma-separated source datasets",
+            check=_all_of(_at_least_one("dataset file"), _DATASET)),
         _FORMAT,
         Opt("exclude_domains", "strlist", [], "domains dropped from the sources"),
         Opt("dev_fraction", "float", 0.1, "dev split of the pooled data; 0 disables",

@@ -102,13 +102,19 @@ def _not_utf8(path: Path, exc: UnicodeDecodeError) -> DataError:
     return DataError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
+def input_file(path: str | Path, noun: str) -> Path:
+    """`path` as a `Path`, or a `DataError` naming it as a missing `noun` file."""
+    path = Path(path)
+    if not path.is_file():
+        raise DataError(f"{noun} file not found: {path}")
+    return path
+
+
 def inventory_labels(path: str | Path) -> tuple[IntentLabel, ...]:
     """The intents of a label-inventory sidecar (one raw label per line), in
     file order; raw names that normalize to one surface are one intent,
     named by the first."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"inventory file not found: {path}")
+    path = input_file(path, "inventory")
     try:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -214,9 +220,7 @@ def load_dataset(
     Labels are keyed on their normalized surface; two raw names normalizing to
     the same surface map to the same intent.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"dataset file not found: {path}")
+    path = input_file(path, "dataset")
     if format == "csv":
         rows = _rows_from_csv(path)
     elif format == "jsonl":

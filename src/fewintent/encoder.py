@@ -260,10 +260,6 @@ class PlanBatch(Sequence[TokenizedSequence]):
     def __getitem__(self, i: int) -> TokenizedSequence:
         return lay_out(*self.pairs[self.picks[i]], self.word_ids)
 
-    @property
-    def plans(self) -> list[SequencePlan]:
-        return [self.pairs[i][0] for i in self.picks]
-
 
 def param_shapes(vocab_size: int, dims: Sequence[int], attention: bool) -> list[tuple[int, ...]]:
     """Each parameter array's shape in `ModelParams.flat` order, from the
@@ -423,35 +419,31 @@ def _padded(rows: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     rows = list(rows)
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     flat = np.fromiter(chain.from_iterable(rows), np.intp, lengths.sum())
-    out = np.repeat(flat[np.cumsum(lengths) - lengths][:, None], lengths.max(initial=0), axis=1)
-    out[np.arange(out.shape[1]) < lengths[:, None]] = flat
+    width = lengths.max(initial=0)
+    if len(flat) == len(rows) * width:  # one length: nothing to pad
+        return flat.reshape(len(rows), width), lengths
+    out = np.repeat(flat[np.cumsum(lengths) - lengths][:, None], width, axis=1)
+    out[np.arange(width) < lengths[:, None]] = flat
     return out, lengths
 
 
-def _pool(x: np.ndarray, spans: Sequence[Sequence[int]]) -> np.ndarray:
-    """The mean of the rows of `x` at each span's indices, with `ndarray.mean`'s bits.
+def _pool(x: np.ndarray, index: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The mean of the rows of `x` at each span ``index[i, :lengths[i]]``
+    (spans as `_padded` lays them out), with `ndarray.mean`'s bits.
 
     Spans of one length are gathered as one stack and summed along it, then
     divided by the count: a slice mean's bits at any length and width, which
-    `np.add.reduceat` does not give. Every encoder path pools this way, here
-    or, for spans held as rows of a padded index, in `_pool_padded`.
+    `np.add.reduceat` does not give. Every encoder path pools here.
     """
-    out = np.empty((len(spans), x.shape[1]))
-    by_length: dict[int, list[int]] = {}
-    for row, span in enumerate(spans):
-        by_length.setdefault(len(span), []).append(row)
-    for n, rows in by_length.items():
-        index = np.fromiter(chain.from_iterable([spans[r] for r in rows]), np.intp, len(rows) * n)
-        out[rows] = x[index.reshape(len(rows), n)].sum(axis=1) / n
-    return out
-
-
-def _pool_padded(x: np.ndarray, index: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """`_pool` of the spans ``index[i, :lengths[i]]``, with the same stacks in
-    the same order, so the same bits."""
+    width = index.shape[1]
+    if lengths.sum() == len(lengths) * width:  # one length, as a lone query has: one stack
+        return x[index].sum(axis=1) / width
     out = np.empty((len(lengths), x.shape[1]))
-    for n in np.unique(lengths).tolist():
-        rows = np.flatnonzero(lengths == n)
+    order = np.argsort(lengths, kind="stable")
+    by_length = lengths[order]
+    cuts = (np.flatnonzero(by_length[1:] != by_length[:-1]) + 1).tolist()
+    for start, stop in zip([0, *cuts], [*cuts, len(order)]):
+        rows, n = order[start:stop], int(by_length[start])
         out[rows] = x[index[rows, :n]].sum(axis=1) / n
     return out
 
@@ -531,12 +523,14 @@ def _forward(params: ModelParams, seqs: Sequence[TokenizedSequence], rows: Seque
 
     Returns each sequence's first position in the stacked rows followed by
     their total, the spans over those rows (per sequence its utterance, then
-    its slots), and `_project`'s layer inputs and output, one row per span.
+    its slots) as `_padded` lays them out, and `_project`'s layer inputs and
+    output, one row per span.
     """
     starts = np.cumsum([0] + [len(seq.token_ids) for seq in seqs]).tolist()
-    spans = [range(start + s, start + e) for seq, start in zip(seqs, starts) for s, e in _spans(seq)]
-    acts, h = _project(params, _pool(np.concatenate(rows), spans))
-    return starts, spans, acts, h
+    spans = (range(start + s, start + e) for seq, start in zip(seqs, starts) for s, e in _spans(seq))
+    index, lengths = _padded(spans)
+    acts, h = _project(params, _pool(np.concatenate(rows), index, lengths))
+    return starts, index, lengths, acts, h
 
 
 def _attended_rows(params: ModelParams, seqs: Sequence[TokenizedSequence]) -> list[np.ndarray]:
@@ -547,7 +541,7 @@ def _attended_rows(params: ModelParams, seqs: Sequence[TokenizedSequence]) -> li
 
 def encode(params: ModelParams, seq: TokenizedSequence) -> SequenceEmbeddings:
     """Span mean pooling over token embeddings, then the shared projector."""
-    acts, h = _forward(params, [seq], _attended_rows(params, [seq]))[2:]
+    acts, h = _forward(params, [seq], _attended_rows(params, [seq]))[-2:]
     z = acts[0]
     return SequenceEmbeddings(z[0], z[1:], h[0], h[1:], seq.slot_intents, seq.gold_slot)
 
@@ -563,7 +557,7 @@ def encode_spans(params: ModelParams, spans: Sequence[Sequence[int]]) -> np.ndar
     model without attention: each span is mean-pooled as ``encode`` pools a
     sequence's spans, and the row-exact projector gives it the bits
     ``encode`` gives it in any sequence."""
-    return _project(params, _pool(params.embedding, spans))[1]
+    return _project(params, _pool(params.embedding, *_padded(spans)))[1]
 
 
 def loss_and_param_grads(
@@ -586,7 +580,7 @@ def loss_and_param_grads(
     if params.has_attention:
         batch = list(batch)  # a `PlanBatch` lays out each item as it is read
         attended = [_attended(params, seq.token_ids) for seq in batch]
-        starts, spans, acts, h = _forward(params, batch, [rows for _, rows, _ in attended])
+        starts, index, lengths, acts, h = _forward(params, batch, [rows for _, rows, _ in attended])
         # Each sequence's utterance row, then its slot rows; a sequence with
         # fewer slots is padded with row 0, which its candidate mask leaves out.
         firsts = np.cumsum([0] + [1 + len(seq.slot_spans) for seq in batch]).tolist()
@@ -594,7 +588,6 @@ def loss_and_param_grads(
         for row, first, end in zip(table, firsts, firsts[1:]):
             row[: end - first] = range(first, end)
         candidates, gold = loss_targets(batch)
-        lengths = np.array([len(span) for span in spans])
     else:
         if isinstance(batch, PlanBatch) and batch.table is not None:
             compiled, picks = batch.table, batch.picks
@@ -603,8 +596,8 @@ def loss_and_param_grads(
             compiled = SpanTable.of_spans(([seq.token_ids[s:e] for s, e in _spans(seq)] for seq in batch), batch)
             picks = np.arange(len(batch))
         ids, table, candidates, gold = compiled.batch(picks)
-        tokens, lengths = compiled.tokens[ids], compiled.lengths[ids]
-        acts, h = _project(params, _pool_padded(params.embedding, tokens, lengths))
+        index, lengths = compiled.tokens[ids], compiled.lengths[ids]
+        acts, h = _project(params, _pool(params.embedding, index, lengths))
 
     loss, dh_u, dh_slots = batch_loss(h[table[:, 0]], h[table[:, 1:]], candidates, gold, cfg)
     dh = np.concatenate([dh_u[:, None], dh_slots], axis=1).reshape(-1, h.shape[1])
@@ -613,16 +606,17 @@ def loss_and_param_grads(
 
     # Each span entry's share of its row's gradient, binned by the row of `x` it pooled.
     dx = np.repeat(dz / lengths[:, None], lengths, axis=0)
+    pooled = index[np.arange(index.shape[1]) < lengths[:, None]]
     if params.has_attention:
         dy = np.zeros((starts[-1], params.d_emb))
-        dy[[r for span in spans for r in span]] = dx
+        dy[pooled] = dx
         dx = np.concatenate([
             _attend_backward(params, cache, dy[start:end], grads)
             for (_, _, cache), start, end in zip(attended, starts, starts[1:])
         ])
         token_ids = [t for distinct_ids, *_ in attended for t in distinct_ids]
     else:
-        token_ids = tokens[np.arange(tokens.shape[1]) < lengths[:, None]]
+        token_ids = pooled
     grads.embedding[:] = _row_sums(token_ids, dx, params.vocab_size)
     return loss, grads
 

@@ -60,8 +60,8 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
 
 def loss_targets(seqs: Sequence) -> tuple[np.ndarray, np.ndarray]:
     """The (B, k) candidate mask and the gold-slot vector that `batch_loss`
-    takes, for sequences with `slot_intents` and `gold_slot` (tokenized or
-    encoded). k is the longest sequence's slot count; a shorter sequence's
+    takes, for sequences with `slot_intents` and `gold_slot` (plans, tokenized
+    or encoded). k is the longest sequence's slot count; a shorter sequence's
     missing slots are not candidates, and a sequence without gold has -1."""
     k = max((len(seq.slot_intents) for seq in seqs), default=0)
     candidates = np.zeros((len(seqs), k), dtype=bool)

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .corpus import IntentLabel, LabeledUtterance, checked_decode, write_jsonl
+from .corpus import IntentLabel, LabeledUtterance, checked_decode, input_file, write_jsonl
 from .encoder import word_tokens
 from .errors import DataError
 from .sequencer import PLACEHOLDER, SequencePlan, build_plans, partition_intents
@@ -224,9 +224,7 @@ def build_paraphrase_instances(
 
 def pairs_from_tsv(path: str | Path) -> list[ParaphrasePair]:
     """Read `anchor<TAB>paraphrase` lines; reports the line number on errors."""
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"paraphrase file not found: {path}")
+    path = input_file(path, "paraphrase")
     pairs = []
     with path.open(encoding="utf-8") as fh:
         for lineno, line in enumerate(checked_decode(path, fh), start=1):

@@ -43,6 +43,8 @@ class SequencePlan:
 
     @property
     def slot_intents(self) -> tuple[int, ...]:
+        """``group.slots`` under the name a `TokenizedSequence` gives them, so
+        that `objective.loss_targets` reads plans and sequences alike."""
         return self.group.slots
 
 

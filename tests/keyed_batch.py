@@ -6,7 +6,7 @@ the batch's distinct token ids."""
 
 import numpy as np
 
-from fewintent.encoder import _pool, _project, _project_backward, _row_sums, _spans
+from fewintent.encoder import _padded, _pool, _project, _project_backward, _row_sums, _spans
 from fewintent.errors import DataError
 from fewintent.objective import batch_loss, loss_targets
 
@@ -33,7 +33,7 @@ def loss_and_param_grads(params, batch, cfg):
     if not batch:
         raise DataError("empty batch")
     spans, table = keyed_rows(batch)
-    acts, h = _project(params, _pool(params.embedding, spans))
+    acts, h = _project(params, _pool(params.embedding, *_padded(spans)))
 
     candidates, gold = loss_targets(batch)
     loss, dh_u, dh_slots = batch_loss(h[table[:, 0]], h[table[:, 1:]], candidates, gold, cfg)

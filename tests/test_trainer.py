@@ -150,6 +150,11 @@ def shuffled_copy_schedule(items, vocab, params, cfg):
     return losses, batches
 
 
+def batch_plans(batch):
+    """The plans of a batch `fit_items` hands to the gradient kernel."""
+    return [batch.pairs[i][0] for i in batch.picks]
+
+
 def recorded_schedule(items, vocab, params, cfg, monkeypatch):
     """`fit_items` on the same inputs, with the same return shape as
     `shuffled_copy_schedule`, read off the plans of each batch it hands to
@@ -157,7 +162,7 @@ def recorded_schedule(items, vocab, params, cfg, monkeypatch):
     batches, epoch_batches = [], []
 
     def record_batch(params, batch, cfg):
-        epoch_batches.append([(plan.utterance, plan.group.index) for plan in batch.plans])
+        epoch_batches.append([(plan.utterance, plan.group.index) for plan in batch_plans(batch)])
         return loss_and_param_grads(params, batch, cfg)
 
     def end_epoch(record):
@@ -226,7 +231,7 @@ class TestAgainstShuffledCopies:
         seen = []
 
         def record_batch(params, batch, cfg):
-            seen.extend(batch.plans)
+            seen.extend(batch_plans(batch))
             return loss_and_param_grads(params, batch, cfg)
 
         monkeypatch.setattr(trainer, "loss_and_param_grads", record_batch)

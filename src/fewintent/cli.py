@@ -6,6 +6,10 @@ files of flat ``key = value`` lines, with flags taking precedence; unknown
 keys are errors. Every run writes JSONL metrics (first record: the fully
 resolved config) and all randomness hangs off a single ``--seed``.
 
+`main` checks every option and reads every input file a command names
+before the config record, so a bad option or a missing, undecodable or
+unparseable input file ends the run before any output.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -22,8 +26,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .corpus import (
-    Dataset, build_ood, input_file, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl,
-    write_jsonl,
+    Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl, write_jsonl,
 )
 from .encoder import build_vocab, utterance_token_ids
 from .errors import DataError, NumericError
@@ -47,7 +50,6 @@ from .pretrain import (
 )
 from .trainer import (
     TrainConfig,
-    dataset_items,
     dev_split,
     fit_items,
     load_checkpoint,
@@ -68,7 +70,9 @@ class _Parser(argparse.ArgumentParser):
 @dataclass(frozen=True)
 class Opt:
     name: str  # config key and argparse dest
-    kind: str  # int | float | str | bool | intlist | strlist | model (a checkpoint to read)
+    # int | float | str | bool | intlist | strlist, or the reading kind of an input file
+    # (`_READ_KINDS`): dataset, datasets (a comma-separated list), inventory, pairs, model
+    kind: str
     default: object = None
     help: str = ""
     required: bool = False
@@ -118,26 +122,6 @@ def _at_least_one(noun: str) -> Callable[[list], None]:
     return check
 
 
-def _input_files(noun: str) -> Callable[[object], None]:
-    """A check that the path, or each path, an option names is a file
-    (`input_file`): a missing input ends the run before any output."""
-    def check(value) -> None:
-        for path in value if isinstance(value, list) else [value]:
-            input_file(path, noun)
-    return check
-
-
-def _all_of(*checks: Callable[[object], None]) -> Callable[[object], None]:
-    """A check that runs each of `checks` in turn."""
-    def check(value) -> None:
-        for each in checks:
-            each(value)
-    return check
-
-
-_DATASET = _input_files("dataset")
-
-
 def _split_fraction(value: float) -> None:
     """A fraction of 0 or less means no dev set; `split_dev` takes one below 1."""
     if not value < 1:  # NaN too
@@ -147,8 +131,7 @@ def _split_fraction(value: float) -> None:
 _GROUP_SIZE = [o for o in _HYPERPARAMS if o.name in ("k", "k_min", "k_max")]
 _FORMAT = Opt("format", "str", None, "csv or jsonl; inferred from the extension when omitted",
               check=_known_format)
-_INVENTORY = Opt("inventory", "str", None, "label-inventory sidecar, one raw label per line",
-                 check=_input_files("inventory"))
+_INVENTORY = Opt("inventory", "str", None, "label-inventory sidecar, one raw label per line")
 _OUT = Opt("out", "str", None, "metrics JSONL path (default: stdout)")
 _SEED = Opt("seed", "int", 0, "seed governing all randomness in this run")
 
@@ -172,7 +155,7 @@ def _coerce(opt: Opt, raw: str):
             raise ValueError(raw)
         if opt.kind == "intlist":
             return [int(x) for x in raw.split(",") if x.strip()]
-        if opt.kind == "strlist":
+        if opt.kind in ("strlist", "datasets"):
             return [x.strip() for x in raw.split(",") if x.strip()]
         return raw
     except ValueError:
@@ -278,10 +261,6 @@ def _infer_format(path: str, explicit: str | None) -> str:
     raise UsageError(f"cannot infer format of {path}; pass --format csv|jsonl")
 
 
-def _load(path: str, cfg: dict) -> Dataset:
-    return load_dataset(path, _infer_format(path, cfg.get("format")), cfg.get("inventory"))
-
-
 def _train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig that a command's resolved `_HYPERPARAMS` entries describe."""
     kwargs = {o.name: cfg[o.name] for o in _HYPERPARAMS if o.name in cfg}
@@ -290,14 +269,29 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(seed=cfg.get("seed", 0), **kwargs)
 
 
-def _load_model(opts: list[Opt], cfg: dict, explicit: set[str]):
-    """(params, vocab) of the checkpoint the command's model option names, or None.
-    The checkpoint sets the command's shape keys in `cfg`; an explicit value that
+_READ_KINDS = ("dataset", "datasets", "inventory", "pairs", "model")
+
+
+def _read(kind: str, value, cfg: dict, explicit: set[str]):
+    """What the input file `value` of reading kind `kind` holds, or for `datasets` each
+    file it lists: a `Dataset`, read with --format or the format its suffix names and
+    with --inventory; an inventory's labels; (pairs, those within --max-words and
+    --max-chars), where none within them is a DataError; or a checkpoint's (params,
+    vocab). A checkpoint sets the command's shape keys in `cfg`; an explicit value that
     disagrees is a DataError. `d_hidden` is set only from a single hidden width."""
-    path = next((cfg[o.name] for o in opts if o.kind == "model"), None)
-    if not path:
-        return None
-    params, vocab = load_checkpoint(path)
+    if kind == "datasets":
+        return [_read("dataset", path, cfg, explicit) for path in value]
+    if kind == "inventory":
+        return inventory_labels(value)
+    if kind == "pairs":
+        pairs = pairs_from_tsv(value)
+        kept = filter_pairs(pairs, cfg["max_words"], cfg["max_chars"])
+        if not kept:
+            raise DataError("no paraphrase pairs survive the length filter")
+        return pairs, kept
+    if kind == "dataset":
+        return load_dataset(value, _infer_format(value, cfg["format"]), cfg.get("inventory"))
+    params, vocab = load_checkpoint(value)
     hidden = params.dims[1:-1]
     shape = [("d_emb", params.d_emb), *[("d_hidden", width) for width in hidden], ("d_out", params.d_out),
              ("projector_depth", len(params.proj_weights)), ("attention", params.has_attention)]
@@ -309,21 +303,21 @@ def _load_model(opts: list[Opt], cfg: dict, explicit: set[str]):
     return params, vocab
 
 
-def _split(data: Dataset, cfg: dict, split=dev_split) -> tuple[Dataset, Dataset | None]:
-    """(train, dev): the --dev file when given, else a --dev-fraction `split` (by default
-    `dev_split`) of `data`; a fraction of 0 or less means no dev set."""
-    if cfg.get("dev"):
-        return data, _load(cfg["dev"], cfg)
+def _split(data: Dataset, dev: Dataset | None, cfg: dict, split=dev_split) -> tuple[Dataset, Dataset | None]:
+    """(train, dev): the --dev dataset when given, else a --dev-fraction `split` (by
+    default `dev_split`) of `data`; a fraction of 0 or less means no dev set."""
+    if dev is not None:
+        return data, dev
     if cfg["dev_fraction"] > 0:
         return split(data, cfg["dev_fraction"], cfg["seed"])
     return data, None
 
 
-def _predict_checkpoint(cfg: dict, model):
+def _predict_checkpoint(cfg: dict, inputs: dict):
     """Rank every --test utterance with the --ckpt model; returns (test set, k, predictions)."""
-    test_data = _load(cfg["test"], cfg)
+    test_data = inputs["test"]
     k = _train_config(cfg).group_size(test_data.n_intents)
-    return test_data, k, predict_dataset(*model, test_data, k)
+    return test_data, k, predict_dataset(*inputs["ckpt"], test_data, k)
 
 
 def _top(labels, ranking, top: int = 5) -> list[dict]:
@@ -344,7 +338,7 @@ def _write_predictions(path: str, data: Dataset, runs):
 # --- commands -----------------------------------------------------------------
 
 
-def _cmd_synth(cfg: dict, model, writer: _Writer):
+def _cmd_synth(cfg: dict, inputs: dict, writer: _Writer):
     train_data, test_data = generate_synthetic(
         cfg["intents"], cfg["shots"], cfg["noise_tokens"], cfg["seed"], cfg["test_per_intent"]
     )
@@ -362,8 +356,8 @@ def _cmd_synth(cfg: dict, model, writer: _Writer):
     })
 
 
-def _cmd_ingest(cfg: dict, model, writer: _Writer):
-    data = _load(cfg["input"], cfg)
+def _cmd_ingest(cfg: dict, inputs: dict, writer: _Writer):
+    data = inputs["input"]
     domains: dict[str, int] = {}
     for ex in data.examples:
         key = ex.domain if ex.domain is not None else ""
@@ -377,10 +371,10 @@ def _cmd_ingest(cfg: dict, model, writer: _Writer):
     })
 
 
-def _cmd_train(cfg: dict, model, writer: _Writer):
-    train_data, dev_data = _split(_load(cfg["train"], cfg), cfg)
+def _cmd_train(cfg: dict, inputs: dict, writer: _Writer):
+    train_data, dev_data = _split(inputs["train"], inputs.get("dev"), cfg)
     tc = _train_config(cfg)
-    params, report, vocab = train(train_data, dev_data, tc, init=model, log=writer.epoch)
+    params, report, vocab = train(train_data, dev_data, tc, init=inputs.get("init"), log=writer.epoch)
     if cfg["ckpt"]:
         save_checkpoint(params, vocab, cfg["ckpt"])
     writer.write({
@@ -394,19 +388,17 @@ def _cmd_train(cfg: dict, model, writer: _Writer):
     })
 
 
-def _cmd_pretrain_ood(cfg: dict, model, writer: _Writer):
-    target = _load(cfg["target"], cfg)
-    others = [_load(p, cfg) for p in cfg["others"]]
-    ood = build_ood(target, others, cfg["exclude_domains"])
+def _cmd_pretrain_ood(cfg: dict, inputs: dict, writer: _Writer):
+    target = inputs["target"]
+    ood = build_ood(target, inputs["others"], cfg["exclude_domains"])
     tc = _train_config(cfg)
     tc = replace(tc, k=tc.group_size(target.n_intents))  # the target task fixes the group size
-    ood_train, ood_dev = _split(ood, cfg)
+    ood_train, ood_dev = _split(ood, None, cfg)
     # Vocabulary covers the target task too, so fine-tuning keeps stable token ids.
     vocab = build_vocab([ood, target], tc.min_count)
-    if cfg["plans_out"]:
-        write_plans_jsonl(dataset_items(ood_train, tc.k), cfg["plans_out"])
+    audit = (lambda items: write_plans_jsonl(items, cfg["plans_out"])) if cfg["plans_out"] else None
     params, report, _ = train(
-        ood_train, ood_dev, tc, init=(tc.new_params(vocab), vocab), log=writer.epoch
+        ood_train, ood_dev, tc, init=(tc.new_params(vocab), vocab), log=writer.epoch, audit=audit
     )
     if cfg["ckpt"]:
         save_checkpoint(params, vocab, cfg["ckpt"])
@@ -421,11 +413,8 @@ def _cmd_pretrain_ood(cfg: dict, model, writer: _Writer):
     })
 
 
-def _cmd_pretrain_para(cfg: dict, model, writer: _Writer):
-    raw_pairs = pairs_from_tsv(cfg["pairs"])
-    kept = filter_pairs(raw_pairs, cfg["max_words"], cfg["max_chars"])
-    if not kept:
-        raise DataError("no paraphrase pairs survive the length filter")
+def _cmd_pretrain_para(cfg: dict, inputs: dict, writer: _Writer):
+    raw_pairs, kept = inputs["pairs"]
     n_target = cfg["n_target"]
     tc = _train_config(cfg)
     k = tc.group_size(n_target)
@@ -450,12 +439,11 @@ def _cmd_pretrain_para(cfg: dict, model, writer: _Writer):
     })
 
 
-def _cmd_eval(cfg: dict, model, writer: _Writer):
-    train_pool = _load(cfg["train"], cfg)
-    test_data = _load(cfg["test"], cfg)
+def _cmd_eval(cfg: dict, inputs: dict, writer: _Writer):
+    test_data = inputs["test"]
     tc = _train_config(cfg)
-    report = evaluate_runs(train_pool, test_data, tc, cfg["seeds"], cfg["shots"],
-                           dev_fraction=cfg["dev_fraction"], init=model)
+    report = evaluate_runs(inputs["train"], test_data, tc, cfg["seeds"], cfg["shots"],
+                           dev_fraction=cfg["dev_fraction"], init=inputs.get("init"))
     for seed, acc in zip(report.seeds, report.accuracies):
         writer.write({"record": "run", "seed": seed, "accuracy": acc})
     writer.write({"record": "eval_report", **report.to_record()})
@@ -464,8 +452,8 @@ def _cmd_eval(cfg: dict, model, writer: _Writer):
         _write_predictions(cfg["predictions_out"], test_data, zip(report.seeds, report.predictions))
 
 
-def _cmd_zeroshot(cfg: dict, model, writer: _Writer):
-    test_data, k, preds = _predict_checkpoint(cfg, model)
+def _cmd_zeroshot(cfg: dict, inputs: dict, writer: _Writer):
+    test_data, k, preds = _predict_checkpoint(cfg, inputs)
     writer.write({
         "record": "zeroshot",
         "k": k,
@@ -497,19 +485,19 @@ def _stdin_utterances(vocab) -> Iterator[tuple[int, str]]:
         yield lineno, rec["text"]
 
 
-def _cmd_predict(cfg: dict, model, writer: _Writer):
-    params, vocab = model
-    labels = inventory_labels(cfg["inventory"])
+def _cmd_predict(cfg: dict, inputs: dict, writer: _Writer):
+    params, vocab = inputs["ckpt"]
+    labels = inputs["inventory"]
     k = _train_config(cfg).group_size(len(labels))
     for lineno, text in _stdin_utterances(vocab):
         ranking = predict(params, vocab, text, labels, k).ranking
         writer.write({"record": "prediction", "line": lineno, "top": _top(labels, ranking)})
 
 
-def _cmd_sweep_k(cfg: dict, model, writer: _Writer):
-    data = _load(cfg["train"], cfg)
-    train_data, dev_data = _split(data, cfg, split_dev)  # the sweep scores a dev set of any size
-    if dev_data is None or not dev_data.examples:
+def _cmd_sweep_k(cfg: dict, inputs: dict, writer: _Writer):
+    data = inputs["train"]
+    train_data, dev_data = _split(data, inputs.get("dev"), cfg, split_dev)  # a dev set of any size
+    if not dev_data.examples:
         raise DataError("sweep-k needs a non-empty dev set: pass --dev or a larger --dev-fraction")
     tc = _train_config(cfg)
     writer.write({
@@ -528,8 +516,8 @@ def _cmd_sweep_k(cfg: dict, model, writer: _Writer):
     print(sweep_table(rows), file=sys.stderr)
 
 
-def _cmd_diagnose_topk(cfg: dict, model, writer: _Writer):
-    test_data, _, preds = _predict_checkpoint(cfg, model)
+def _cmd_diagnose_topk(cfg: dict, inputs: dict, writer: _Writer):
+    test_data, _, preds = _predict_checkpoint(cfg, inputs)
     gold = [ex.intent_id for ex in test_data.examples]
     filt = label_filter_rankings([ex.text for ex in test_data.examples], test_data.labels)
     misses, recovered = topk_miss(preds, gold, cfg["k_top"], filt)
@@ -555,16 +543,16 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "ingest": (_cmd_ingest, [
-        Opt("input", "str", required=True, help="dataset file", check=_DATASET),
+        Opt("input", "dataset", required=True, help="dataset file"),
         _FORMAT,
         _INVENTORY,
         _OUT,
     ]),
     "train": (_cmd_train, [
-        Opt("train", "str", required=True, help="training dataset", check=_DATASET),
+        Opt("train", "dataset", required=True, help="training dataset"),
         _FORMAT,
         _INVENTORY,
-        Opt("dev", "str", None, "explicit dev dataset", check=_DATASET),
+        Opt("dev", "dataset", None, "explicit dev dataset"),
         Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent; 0 disables",
             check=_split_fraction),
         *_HYPERPARAMS,
@@ -574,10 +562,9 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "pretrain-ood": (_cmd_pretrain_ood, [
-        Opt("target", "str", required=True, help="target task (fixes group size and vocabulary)",
-            check=_DATASET),
-        Opt("others", "strlist", required=True, help="comma-separated source datasets",
-            check=_all_of(_at_least_one("dataset file"), _DATASET)),
+        Opt("target", "dataset", required=True, help="target task (fixes group size and vocabulary)"),
+        Opt("others", "datasets", required=True, help="comma-separated source datasets",
+            check=_at_least_one("dataset file")),
         _FORMAT,
         Opt("exclude_domains", "strlist", [], "domains dropped from the sources"),
         Opt("dev_fraction", "float", 0.1, "dev split of the pooled data; 0 disables",
@@ -589,8 +576,7 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "pretrain-para": (_cmd_pretrain_para, [
-        Opt("pairs", "str", required=True, help="TSV of anchor<TAB>paraphrase",
-            check=_input_files("paraphrase")),
+        Opt("pairs", "pairs", required=True, help="TSV of anchor<TAB>paraphrase"),
         Opt("n_target", "int", required=True, help="candidates per anchor: the target task's intent count",
             check=_enough_candidates),
         Opt("max_words", "int", 10, "per-side word cap", low=1),
@@ -602,8 +588,8 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
         _OUT,
     ]),
     "eval": (_cmd_eval, [
-        Opt("train", "str", required=True, help="training pool", check=_DATASET),
-        Opt("test", "str", required=True, help="test dataset", check=_DATASET),
+        Opt("train", "dataset", required=True, help="training pool"),
+        Opt("test", "dataset", required=True, help="test dataset"),
         _FORMAT,
         _INVENTORY,
         Opt("shots", "int", required=True, help="examples sampled per intent per run", low=1),
@@ -617,7 +603,7 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
     ]),
     "zeroshot": (_cmd_zeroshot, [
         Opt("ckpt", "model", required=True, help="pretrained checkpoint"),
-        Opt("test", "str", required=True, help="test dataset", check=_DATASET),
+        Opt("test", "dataset", required=True, help="test dataset"),
         _FORMAT,
         _INVENTORY,
         *_GROUP_SIZE,
@@ -626,16 +612,15 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
     ]),
     "predict": (_cmd_predict, [
         Opt("ckpt", "model", required=True, help="trained checkpoint"),
-        Opt("inventory", "str", required=True, help="label inventory, one raw label per line",
-            check=_input_files("inventory")),
+        Opt("inventory", "inventory", required=True, help="label inventory, one raw label per line"),
         *_GROUP_SIZE,
         _OUT,
     ]),
     "sweep-k": (_cmd_sweep_k, [
-        Opt("train", "str", required=True, help="training dataset", check=_DATASET),
+        Opt("train", "dataset", required=True, help="training dataset"),
         _FORMAT,
         _INVENTORY,
-        Opt("dev", "str", None, "explicit dev dataset", check=_DATASET),
+        Opt("dev", "dataset", None, "explicit dev dataset"),
         Opt("dev_fraction", "float", 0.1, "dev split when --dev is absent",
             check=_split_fraction),
         Opt("k_values", "intlist", required=True, help="group sizes to sweep, e.g. 2,10,20", low=1,
@@ -646,7 +631,7 @@ _COMMANDS: dict[str, tuple[Callable, list[Opt]]] = {
     ]),
     "diagnose-topk": (_cmd_diagnose_topk, [
         Opt("ckpt", "model", required=True, help="trained checkpoint"),
-        Opt("test", "str", required=True, help="test dataset", check=_DATASET),
+        Opt("test", "dataset", required=True, help="test dataset"),
         _FORMAT,
         _INVENTORY,
         *_GROUP_SIZE,
@@ -681,12 +666,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         negative = [s for s in (cfg.get("seed", 0), *cfg.get("seeds", ())) if s < 0]
         if negative:
             raise DataError(f"seeds must be non-negative, got {negative[0]}")
-        model = _load_model(args._opts, cfg, explicit)
+        if args._command == "sweep-k" and cfg["dev"] is None and cfg["dev_fraction"] <= 0:
+            raise DataError("sweep-k needs a dev set: pass --dev or a --dev-fraction above 0")
+        # Every input file is read here, in option order, before any output.
+        inputs = {o.name: _read(o.kind, cfg[o.name], cfg, explicit) for o in args._opts
+                  if o.kind in _READ_KINDS and cfg[o.name] is not None}
         writer = _Writer(cfg.get("out"))
         try:
             writer.write({"record": "config", "command": args._command, "config": cfg})
             with np.errstate(all="ignore"):  # the library's own checks raise NumericError
-                args._func(cfg, model, writer)
+                args._func(cfg, inputs, writer)
         finally:
             writer.close()
         return 0

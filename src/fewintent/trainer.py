@@ -239,6 +239,7 @@ def train(
     cfg: TrainConfig,
     init: tuple[ModelParams, Vocabulary] | None = None,
     log: Callable[[dict], None] | None = None,
+    audit: Callable[[list[TrainItem]], None] | None = None,
 ) -> tuple[ModelParams, TrainReport, Vocabulary]:
     """Train on a dataset; returns (best params, report, vocabulary).
 
@@ -246,6 +247,7 @@ def train(
     stay stable across pretraining and fine-tuning. Dev accuracy selects the
     best epoch when `dev_data` holds at least MIN_DEV_FOR_SELECTION examples
     (as every `dev_split` dev set does); otherwise training loss does.
+    `audit`, when given, sees the training items before the first epoch.
     """
     if not train_data.examples:
         raise DataError("training dataset is empty")
@@ -268,7 +270,10 @@ def train(
 
         dev_scorer = lambda p: dataset_accuracy(p, vocab, dev_data, k)
 
-    best, report = fit_items(dataset_items(train_data, k), vocab, params, cfg, dev_scorer, log)
+    items = dataset_items(train_data, k)
+    if audit is not None:
+        audit(items)
+    best, report = fit_items(items, vocab, params, cfg, dev_scorer, log)
     return best, report, vocab
 
 

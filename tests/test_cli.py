@@ -286,6 +286,22 @@ class TestPipeline:
         assert sorted({p["text"] for p in plans}) == sorted(r["text"] for r in rows)
         assert len(plans) == 24 * 2
 
+    def test_pretrain_ood_plans_out_builds_each_plan_once(self, tmp_path, monkeypatch):
+        from fewintent import cli, trainer
+
+        (tmp_path / "target.jsonl").write_text(json.dumps({"text": "pay my bill", "label": "pay bill"}) + "\n")
+        rows = [{"text": f"{word} please {i}", "label": word} for word in ("alarm", "weather", "music")
+                for i in range(8)]
+        (tmp_path / "ood.jsonl").write_text("\n".join(json.dumps(r) for r in rows))
+        calls = []
+        build_plans = trainer.build_plans
+        monkeypatch.setattr(trainer, "build_plans", lambda *a: calls.append(a) or build_plans(*a))
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["pretrain-ood", "--target", "target.jsonl", "--others", "ood.jsonl", "--k", "2",
+                         "--dev-fraction", "0", *TINY, "--plans-out", "plans.jsonl", "--out", "o.jsonl"]) == 0
+        assert len(calls) == len(rows)  # the file is written from the items training runs
+        assert len(records(tmp_path / "plans.jsonl")) == len(rows) * 2
+
 
     @pytest.mark.parametrize("n_dev, selection", [(16, "dev_accuracy"), (9, "train_loss")])
     def test_train_dev_file_selects_by_its_size(self, synth_dir, n_dev, selection):
@@ -367,6 +383,79 @@ def write_predict_inputs(synth_dir, extra=()):
     assert out.returncode == 0, out.stderr
     names = list(dict.fromkeys(r["label"] for r in records(synth_dir / "data/train.jsonl")))
     (synth_dir / "inv.txt").write_text("\n".join(reversed(names)) + "\n")
+
+
+# Each command's input options: (option, reading kind, stem of the good file in `fault_inputs`).
+# A dataset command's --inventory is read with its datasets; its faults are an inventory's.
+INPUT_OPTIONS = {
+    "ingest": [("input", "dataset", "train"), ("inventory", "inventory", "inv")],
+    "train": [("train", "dataset", "train"), ("dev", "dataset", "test"), ("inventory", "inventory", "inv"),
+              ("init", "model", "m")],
+    "pretrain-ood": [("target", "dataset", "train"), ("others", "datasets", "test")],
+    "pretrain-para": [("pairs", "pairs", "pairs")],
+    "eval": [("train", "dataset", "train"), ("test", "dataset", "test"), ("inventory", "inventory", "inv"),
+             ("init", "model", "m")],
+    "zeroshot": [("ckpt", "model", "m"), ("test", "dataset", "test"), ("inventory", "inventory", "inv")],
+    "predict": [("ckpt", "model", "m"), ("inventory", "inventory", "inv")],
+    "sweep-k": [("train", "dataset", "train"), ("dev", "dataset", "test"), ("inventory", "inventory", "inv")],
+    "diagnose-topk": [("ckpt", "model", "m"), ("test", "dataset", "test"), ("inventory", "inventory", "inv")],
+}
+OTHER_OPTIONS = {"pretrain-para": ["--n-target", "2"], "eval": ["--shots", "1"], "sweep-k": ["--k-values", "2"]}
+EXTENSIONS = {"inventory": ".txt", "pairs": ".tsv", "model": ".ckpt", "dataset": ".jsonl", "datasets": ".jsonl"}
+NOUNS = {"inventory": "inventory file", "pairs": "paraphrase file", "model": "checkpoint",
+         "dataset": "dataset file", "datasets": "dataset file"}
+FAULTS = {  # by reading kind
+    "dataset": ["missing", "not-utf8", "wrong-format", "no-suffix"],
+    "inventory": ["missing", "not-utf8"],
+    "pairs": ["missing", "not-utf8", "all-filtered"],
+    "model": ["missing", "not-utf8"],
+}
+FAULTS["datasets"] = FAULTS["dataset"]
+# The faulty file: it does not exist, holds non-UTF-8 bytes, holds JSONL read under
+# --format csv, holds JSONL under a suffix that names no format, or holds only pairs
+# over the length caps. The bad entry of a list option comes second.
+BAD_FILES = {"missing": "nope", "not-utf8": "bad", "wrong-format": "bad.jsonl", "no-suffix": "bad.txt",
+             "all-filtered": "bad.tsv"}
+FAULT_CONTENT = {
+    "not-utf8": b"text,category\n\xff\xfe hello\tthere,x\n",
+    "wrong-format": json.dumps({"text": "hi there", "label": "greet"}).encode() + b"\n",
+    "no-suffix": json.dumps({"text": "hi there", "label": "greet"}).encode() + b"\n",
+    "all-filtered": b"one two three four five six seven eight nine ten eleven\tshort\n",
+}
+FAULT_ERRORS = {  # exit code and the start of the one stderr line
+    "missing": (2, "data error: {noun} not found: {bad}"),
+    "not-utf8": (2, "data error: {bad}: {undecodable}"),
+    "wrong-format": (2, "data error: {bad}: expected header 'text,category'"),
+    "no-suffix": (1, "usage error: cannot infer format of {bad}; pass --format csv|jsonl"),
+    "all-filtered": (2, "data error: no paraphrase pairs survive the length filter"),
+}
+# Before the input phase every row but the missing-file and checkpoint rows ended
+# the run after its config record, among them train-train, train-dev, eval-test and
+# pretrain-ood-others with no-suffix, zeroshot-test with wrong-format, ingest-,
+# predict- and diagnose-topk-inventory with not-utf8 and pretrain-para-pairs with
+# all-filtered.
+FAULT_ROWS = [
+    pytest.param(command, option, kind, fault, id=f"{command}-{option}-{fault}")
+    for command, options in INPUT_OPTIONS.items()
+    for option, kind, _ in options
+    for fault in FAULTS[kind]
+]
+
+
+@pytest.fixture
+def fault_inputs(tmp_path):
+    """Good input files for every row of the fault table: two datasets as JSONL
+    and as CSV, their inventory, a checkpoint over their vocabulary and pairs."""
+    rows = {"train": [("hi there", "greet"), ("bye now", "bye"), ("hello", "greet"), ("see you", "bye")],
+            "test": [("hi friend", "greet"), ("bye bye", "bye")]}
+    for stem, examples in rows.items():
+        (tmp_path / f"{stem}.jsonl").write_text(
+            "".join(json.dumps({"text": t, "label": lab}) + "\n" for t, lab in examples))
+        (tmp_path / f"{stem}.csv").write_text("text,category\n" + "".join(f"{t},{lab}\n" for t, lab in examples))
+    (tmp_path / "inv.txt").write_text("greet\nbye\n")
+    (tmp_path / "pairs.tsv").write_text("alpha gamma\tbeta delta\nomega\tpsi chi\n")
+    save_model(tmp_path / "m.ckpt", tmp_path / "train.jsonl", [8, 8])
+    return tmp_path
 
 
 class TestExitCodes:
@@ -647,30 +736,29 @@ class TestExitCodes:
         assert "usage error: missing required option --n-target" in capsys.readouterr().err
         assert not (synth_dir / "p.jsonl").exists()
 
-    @pytest.mark.parametrize(
-        "args, message",
-        [
-            (["train", "--train", "nope.jsonl"], "dataset file not found: nope.jsonl"),
-            (["train", "--train", "data/train.jsonl", "--dev", "nope.jsonl"], "dataset file not found: nope.jsonl"),
-            (["eval", "--train", "data/train.jsonl", "--test", "nope.jsonl", "--shots", "2"],
-             "dataset file not found: nope.jsonl"),
-            (["pretrain-ood", "--target", "data/train.jsonl", "--others", "data/test.jsonl,nope.jsonl"],
-             "dataset file not found: nope.jsonl"),
-            (["pretrain-para", "--pairs", "nope.tsv", "--n-target", "3"], "paraphrase file not found: nope.tsv"),
-            (["predict", "--ckpt", "m.ckpt", "--inventory", "nope.txt"], "inventory file not found: nope.txt"),
-            (["zeroshot", "--ckpt", "m.ckpt", "--test", "data/test.jsonl", "--inventory", "nope.txt"],
-             "inventory file not found: nope.txt"),
-        ],
-        ids=["train", "dev", "eval-test", "ood-others", "para-pairs", "predict-inventory", "zeroshot-inventory"],
-    )
-    def test_missing_input_file_is_2_before_output(self, synth_dir, monkeypatch, capsys, args, message):
+    @pytest.mark.parametrize("command, option, kind, fault", FAULT_ROWS)
+    def test_bad_input_file_ends_run_before_output(self, fault_inputs, monkeypatch, capsys,
+                                                   command, option, kind, fault):
         from fewintent import cli
 
-        save_model(synth_dir / "m.ckpt", synth_dir / "data/train.jsonl", [8, 8])
-        monkeypatch.chdir(synth_dir)
-        assert cli.main([*args, "--out", "o.jsonl"]) == 2
-        assert capsys.readouterr().err == f"data error: {message}\n"
-        assert not (synth_dir / "o.jsonl").exists()
+        bad = BAD_FILES[fault] + ("" if "." in BAD_FILES[fault] else EXTENSIONS[kind])
+        if fault in FAULT_CONTENT:
+            (fault_inputs / bad).write_bytes(FAULT_CONTENT[fault])
+        dataset_ext = ".csv" if fault == "wrong-format" else ".jsonl"
+        args = [command, *OTHER_OPTIONS.get(command, [])] + (["--format", "csv"] if fault == "wrong-format" else [])
+        for name, each_kind, stem in INPUT_OPTIONS[command]:
+            good = stem + (dataset_ext if each_kind.startswith("dataset") else EXTENSIONS[each_kind])
+            value = good if name != option else f"{good},{bad}" if kind == "datasets" else bad
+            args += ["--" + name, value]
+        monkeypatch.chdir(fault_inputs)
+        code, line = FAULT_ERRORS[fault]
+        # A checkpoint holds no text to decode: bytes that are not one fail on its magic.
+        line = line.format(noun=NOUNS[kind], bad=bad,
+                           undecodable="not a checkpoint file" if kind == "model" else "not UTF-8 text")
+        assert cli.main([*args, "--out", "o.jsonl"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(line) and err.endswith("\n") and err.count("\n") == 1, err
+        assert not (fault_inputs / "o.jsonl").exists()
 
     @pytest.mark.parametrize(
         "args, message",
@@ -708,8 +796,10 @@ class TestExitCodes:
             cwd=synth_dir,
         )
         assert out.returncode == 2
-        assert "data error" in out.stderr
+        assert "data error: sweep-k needs a" in out.stderr
         assert "Traceback" not in out.stderr
+        if fraction == "0":  # an option fault, found before any output; an empty cut needs the data
+            assert not (synth_dir / "s.jsonl").exists()
 
     @pytest.mark.parametrize("command", ["zeroshot", "diagnose-topk"])
     def test_zero_group_size_is_2(self, synth_dir, command):
@@ -941,17 +1031,34 @@ class TestConfigMerge:
         for opt, field in zip(cli._HYPERPARAMS, fields):
             assert opt.default == getattr(defaults, field), opt.name
 
-    def test_one_checkpoint_reader(self):
+    def test_one_input_reader(self):
+        import ast
+        import inspect
+
         from fewintent import cli
 
-        # `main` reads each command's checkpoint once, through its model-kind option.
-        assert Path(cli.__file__).read_text(encoding="utf-8").count("load_checkpoint(") == 1
-        readers = {name: [o.name for o in opts if o.kind == "model"] for name, (_, opts) in cli._COMMANDS.items()}
-        assert readers == {
-            "synth": [], "ingest": [], "train": ["init"], "pretrain-ood": [], "pretrain-para": [],
-            "eval": ["init"], "zeroshot": ["ckpt"], "predict": ["ckpt"], "sweep-k": [],
-            "diagnose-topk": ["ckpt"],
-        }
+        # `main` reads every input file once, through the reading kind of the option naming it.
+        source = Path(cli.__file__).read_text(encoding="utf-8")
+        for reader in ("load_dataset(", "inventory_labels(", "pairs_from_tsv(", "load_checkpoint("):
+            assert source.count(reader) == 1, reader
+        kinds = {name: {o.name: o.kind for o in opts if o.kind in cli._READ_KINDS}
+                 for name, (_, opts) in cli._COMMANDS.items()}
+        assert kinds == {name: {option: kind for option, kind, _ in INPUT_OPTIONS.get(name, [])
+                                if option != "inventory" or name == "predict"}
+                         for name in cli._COMMANDS}
+        # Every other option that names a file is one the run writes, or the --inventory
+        # that the reader of a dataset option reads with it.
+        written = {"out", "out_dir", "ckpt", "plans_out", "predictions_out"}
+        for name, (func, opts) in cli._COMMANDS.items():
+            paths = {o.name for o in opts if o.kind == "str"} - written - {"format"}
+            assert paths <= ({"inventory"} if "dataset" in kinds[name].values() else set()), name
+            # A command reads what was read for it from `inputs`, never a path from `cfg`.
+            inputs = set(kinds[name]) | paths
+            for node in ast.walk(ast.parse(inspect.getsource(func))):
+                if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "cfg":
+                    assert getattr(node.slice, "value", None) not in inputs, name
+                if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg":
+                    assert node.attr != "get", name  # cfg.get: options every command has are cfg[...]
 
 
 class TestDeterminism:

@@ -40,6 +40,7 @@ from fewintent.sequencer import (
 
 from conftest import make_dataset, run_python
 
+import grad_errors
 import keyed_batch
 import per_sequence
 
@@ -515,6 +516,20 @@ class TestAgainstKeyedReference:
         batch = PlanBatch(pairs, word_ids, table, picks)
         params = init_params(len(vocab), 12, 12, 12, seed=4)
         assert grad_check(params, batch, n_coords=300, seed=2) < 1e-4
+
+    def test_grad_check_reads_high_on_an_exact_gradient(self):
+        # At width 8 this batch's gradient has the keyed reference kernel's bits
+        # (`test_plan_batches`), yet its relative error crosses 1e-4: the worst
+        # coordinate's gradient is about 8e-6, against 2e-2 for the largest, and
+        # the central difference reads it 9e-10 off. The absolute error is noise.
+        pairs, vocab, word_ids, table = two_inventory_table()
+        batch = PlanBatch(pairs, word_ids, table, np.array([9, 12, 14, 17, 18, 18]))
+        params = init_params(len(vocab), 8, 8, 8, seed=0)
+        keyed = [lay_out(*pairs[i], word_ids) for i in batch.picks]
+        self.assert_same_bits(params, batch, keyed)
+        rel, absolute = grad_errors.errors(params, batch, n_coords=300)
+        assert rel == grad_check(params, batch, n_coords=300)
+        assert rel > 1e-4 and absolute < 1e-8
 
 
 def test_word_tokens_split_punctuation_and_case():

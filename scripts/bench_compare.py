@@ -18,8 +18,8 @@ differ by more than the parent's interquartile range, every change run of
 that workload passed its output check, and the change failed no more
 operations there than the parent.
 
-The pairs, the claim and the seeds are checked before the first run; a bad
-one exits 2. The record's `parent` is the commit checked out in the parent
+The pairs, the claim, the seeds and `--out-dir` are checked before the first
+run; a bad one exits 2. The record's `parent` is the commit checked out in the parent
 tree or, for a copy such as a `git archive` export, `--parent-sha`; with
 neither, the script exits 2.
 
@@ -193,6 +193,8 @@ def main(argv=None) -> int:
     parent = git_sha(args.parent) or args.parent_sha
     if parent is None:
         ap.error(f"{args.parent} is not a git checkout: pass --parent-sha")
+    if not args.out_dir.is_dir():
+        ap.error(f"--out-dir {args.out_dir} is not a directory")
     runs, env = [], None
     index = 0
     for workload, count in plan:

@@ -6,9 +6,9 @@ files of flat ``key = value`` lines, with flags taking precedence; unknown
 keys are errors. Every run writes JSONL metrics (first record: the fully
 resolved config) and all randomness hangs off a single ``--seed``.
 
-`main` checks every option and reads every input file a command names
-before the config record, so a bad option or a missing, undecodable or
-unparseable input file ends the run before any output.
+`main` checks every option, reads every input file and sets the group size
+before the config record: a bad option, an unreadable input file or an
+infeasible group-size range ends the run before any output.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
@@ -19,7 +19,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -269,6 +269,12 @@ def _train_config(cfg: dict) -> TrainConfig:
     return TrainConfig(seed=cfg.get("seed", 0), **kwargs)
 
 
+# The option whose intent count fixes each training or scoring command's group size.
+_INTENT_COUNT_OPTION = {"train": "train", "sweep-k": "train", "pretrain-ood": "target",
+                        "pretrain-para": "n_target", "eval": "test", "zeroshot": "test",
+                        "diagnose-topk": "test", "predict": "inventory"}
+
+
 _READ_KINDS = ("dataset", "datasets", "inventory", "pairs", "model")
 
 
@@ -313,13 +319,6 @@ def _split(data: Dataset, dev: Dataset | None, cfg: dict, split=dev_split) -> tu
     return data, None
 
 
-def _predict_checkpoint(cfg: dict, inputs: dict):
-    """Rank every --test utterance with the --ckpt model; returns (test set, k, predictions)."""
-    test_data = inputs["test"]
-    k = _train_config(cfg).group_size(test_data.n_intents)
-    return test_data, k, predict_dataset(*inputs["ckpt"], test_data, k)
-
-
 def _top(labels, ranking, top: int = 5) -> list[dict]:
     """The first `top` entries of a ranking, each intent by its raw name."""
     return [{"intent": labels[iid].raw_name, "score": score} for iid, score in ranking[:top]]
@@ -338,7 +337,7 @@ def _write_predictions(path: str, data: Dataset, runs):
 # --- commands -----------------------------------------------------------------
 
 
-def _cmd_synth(cfg: dict, inputs: dict, writer: _Writer):
+def _cmd_synth(cfg: dict, inputs: dict, tc: None, writer: _Writer):
     train_data, test_data = generate_synthetic(
         cfg["intents"], cfg["shots"], cfg["noise_tokens"], cfg["seed"], cfg["test_per_intent"]
     )
@@ -356,7 +355,7 @@ def _cmd_synth(cfg: dict, inputs: dict, writer: _Writer):
     })
 
 
-def _cmd_ingest(cfg: dict, inputs: dict, writer: _Writer):
+def _cmd_ingest(cfg: dict, inputs: dict, tc: None, writer: _Writer):
     data = inputs["input"]
     domains: dict[str, int] = {}
     for ex in data.examples:
@@ -371,15 +370,14 @@ def _cmd_ingest(cfg: dict, inputs: dict, writer: _Writer):
     })
 
 
-def _cmd_train(cfg: dict, inputs: dict, writer: _Writer):
+def _cmd_train(cfg: dict, inputs: dict, tc: TrainConfig, writer: _Writer):
     train_data, dev_data = _split(inputs["train"], inputs.get("dev"), cfg)
-    tc = _train_config(cfg)
     params, report, vocab = train(train_data, dev_data, tc, init=inputs.get("init"), log=writer.epoch)
     if cfg["ckpt"]:
         save_checkpoint(params, vocab, cfg["ckpt"])
     writer.write({
         "record": "train_summary",
-        "k": tc.group_size(train_data.n_intents),
+        "k": tc.k,
         "epochs_run": len(report.epoch_losses),
         "best_epoch": report.best_epoch,
         "selection": report.selection,
@@ -388,11 +386,9 @@ def _cmd_train(cfg: dict, inputs: dict, writer: _Writer):
     })
 
 
-def _cmd_pretrain_ood(cfg: dict, inputs: dict, writer: _Writer):
+def _cmd_pretrain_ood(cfg: dict, inputs: dict, tc: TrainConfig, writer: _Writer):
     target = inputs["target"]
     ood = build_ood(target, inputs["others"], cfg["exclude_domains"])
-    tc = _train_config(cfg)
-    tc = replace(tc, k=tc.group_size(target.n_intents))  # the target task fixes the group size
     ood_train, ood_dev = _split(ood, None, cfg)
     # Vocabulary covers the target task too, so fine-tuning keeps stable token ids.
     vocab = build_vocab([ood, target], tc.min_count)
@@ -413,13 +409,10 @@ def _cmd_pretrain_ood(cfg: dict, inputs: dict, writer: _Writer):
     })
 
 
-def _cmd_pretrain_para(cfg: dict, inputs: dict, writer: _Writer):
+def _cmd_pretrain_para(cfg: dict, inputs: dict, tc: TrainConfig, writer: _Writer):
     raw_pairs, kept = inputs["pairs"]
     n_target = cfg["n_target"]
-    tc = _train_config(cfg)
-    k = tc.group_size(n_target)
-
-    tasks = build_paraphrase_instances(kept, n_target, k, seed=tc.seed)
+    tasks = build_paraphrase_instances(kept, n_target, tc.k, seed=tc.seed)
     vocab = build_vocab([pair_sentences(kept)], tc.min_count)
     if cfg["plans_out"]:
         write_plans_jsonl(tasks, cfg["plans_out"])
@@ -432,16 +425,15 @@ def _cmd_pretrain_para(cfg: dict, inputs: dict, writer: _Writer):
         "pairs_kept": len(kept),
         "n_target": n_target,
         "t_negatives": n_target - 1,
-        "k": k,
+        "k": tc.k,
         "n_anchors": len(tasks),
         "best_epoch": report.best_epoch,
         "ckpt": cfg["ckpt"],
     })
 
 
-def _cmd_eval(cfg: dict, inputs: dict, writer: _Writer):
+def _cmd_eval(cfg: dict, inputs: dict, tc: TrainConfig, writer: _Writer):
     test_data = inputs["test"]
-    tc = _train_config(cfg)
     report = evaluate_runs(inputs["train"], test_data, tc, cfg["seeds"], cfg["shots"],
                            dev_fraction=cfg["dev_fraction"], init=inputs.get("init"))
     for seed, acc in zip(report.seeds, report.accuracies):
@@ -452,11 +444,12 @@ def _cmd_eval(cfg: dict, inputs: dict, writer: _Writer):
         _write_predictions(cfg["predictions_out"], test_data, zip(report.seeds, report.predictions))
 
 
-def _cmd_zeroshot(cfg: dict, inputs: dict, writer: _Writer):
-    test_data, k, preds = _predict_checkpoint(cfg, inputs)
+def _cmd_zeroshot(cfg: dict, inputs: dict, tc: TrainConfig, writer: _Writer):
+    test_data = inputs["test"]
+    preds = predict_dataset(*inputs["ckpt"], test_data, tc.k)
     writer.write({
         "record": "zeroshot",
-        "k": k,
+        "k": tc.k,
         "n_test": len(test_data.examples),
         "accuracy": top1_accuracy(preds, test_data),
     })
@@ -485,27 +478,25 @@ def _stdin_utterances(vocab) -> Iterator[tuple[int, str]]:
         yield lineno, rec["text"]
 
 
-def _cmd_predict(cfg: dict, inputs: dict, writer: _Writer):
+def _cmd_predict(cfg: dict, inputs: dict, tc: TrainConfig, writer: _Writer):
     params, vocab = inputs["ckpt"]
     labels = inputs["inventory"]
-    k = _train_config(cfg).group_size(len(labels))
     for lineno, text in _stdin_utterances(vocab):
-        ranking = predict(params, vocab, text, labels, k).ranking
+        ranking = predict(params, vocab, text, labels, tc.k).ranking
         writer.write({"record": "prediction", "line": lineno, "top": _top(labels, ranking)})
 
 
-def _cmd_sweep_k(cfg: dict, inputs: dict, writer: _Writer):
+def _cmd_sweep_k(cfg: dict, inputs: dict, tc: TrainConfig, writer: _Writer):
     data = inputs["train"]
     train_data, dev_data = _split(data, inputs.get("dev"), cfg, split_dev)  # a dev set of any size
     if not dev_data.examples:
         raise DataError("sweep-k needs a non-empty dev set: pass --dev or a larger --dev-fraction")
-    tc = _train_config(cfg)
     writer.write({
         "record": "choose_k",
         "n": data.n_intents,
         "k_min": tc.k_min,
         "k_max": tc.k_max,
-        "chosen": tc.group_size(data.n_intents),
+        "chosen": tc.k,
     })
     rows = sweep_k(train_data, dev_data, tc, cfg["k_values"])
     for r in rows:
@@ -516,8 +507,9 @@ def _cmd_sweep_k(cfg: dict, inputs: dict, writer: _Writer):
     print(sweep_table(rows), file=sys.stderr)
 
 
-def _cmd_diagnose_topk(cfg: dict, inputs: dict, writer: _Writer):
-    test_data, _, preds = _predict_checkpoint(cfg, inputs)
+def _cmd_diagnose_topk(cfg: dict, inputs: dict, tc: TrainConfig, writer: _Writer):
+    test_data = inputs["test"]
+    preds = predict_dataset(*inputs["ckpt"], test_data, tc.k)
     gold = [ex.intent_id for ex in test_data.examples]
     filt = label_filter_rankings([ex.text for ex in test_data.examples], test_data.labels)
     misses, recovered = topk_miss(preds, gold, cfg["k_top"], filt)
@@ -661,8 +653,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             parser.print_usage(sys.stderr)
             return 1
         cfg, explicit = _resolve(args)
-        if any(o.name in cfg for o in _HYPERPARAMS):
-            _train_config(cfg)  # out-of-range hyperparameters end the run before any output
         negative = [s for s in (cfg.get("seed", 0), *cfg.get("seeds", ())) if s < 0]
         if negative:
             raise DataError(f"seeds must be non-negative, got {negative[0]}")
@@ -671,11 +661,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Every input file is read here, in option order, before any output.
         inputs = {o.name: _read(o.kind, cfg[o.name], cfg, explicit) for o in args._opts
                   if o.kind in _READ_KINDS and cfg[o.name] is not None}
+        tc = None  # the run's TrainConfig, built once a checkpoint has set its shape keys in cfg
+        if args._command in _INTENT_COUNT_OPTION:
+            name = _INTENT_COUNT_OPTION[args._command]
+            counted = inputs.get(name, cfg[name])  # a Dataset, an inventory's labels or --n-target
+            n = counted if isinstance(counted, int) else len(getattr(counted, "labels", counted))
+            tc = _train_config(cfg)
+            tc.k = tc.group_size(n)
         writer = _Writer(cfg.get("out"))
         try:
             writer.write({"record": "config", "command": args._command, "config": cfg})
             with np.errstate(all="ignore"):  # the library's own checks raise NumericError
-                args._func(cfg, inputs, writer)
+                args._func(cfg, inputs, tc, writer)
         finally:
             writer.close()
         return 0

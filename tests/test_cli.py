@@ -442,6 +442,21 @@ FAULT_ROWS = [
 ]
 
 
+# A run of each command that has a group size, on the 4-intent `synth_dir` task: the input
+# that `cli._INTENT_COUNT_OPTION` names holds those 4 intents, which the default --k-min of 20
+# fits no group size of.
+GROUP_SIZE_RUNS = [
+    ["train", "--train", "data/train.jsonl"],
+    ["pretrain-ood", "--target", "data/train.jsonl", "--others", "data/test.jsonl"],
+    ["pretrain-para", "--pairs", "pairs.tsv", "--n-target", "4"],
+    ["eval", "--train", "data/train.jsonl", "--test", "data/test.jsonl", "--shots", "3"],
+    ["zeroshot", "--ckpt", "m.ckpt", "--test", "data/test.jsonl"],
+    ["predict", "--ckpt", "m.ckpt", "--inventory", "inv.txt"],
+    ["sweep-k", "--train", "data/train.jsonl", "--k-values", "2"],
+    ["diagnose-topk", "--ckpt", "m.ckpt", "--test", "data/test.jsonl"],
+]
+
+
 @pytest.fixture
 def fault_inputs(tmp_path):
     """Good input files for every row of the fault table: two datasets as JSONL
@@ -940,14 +955,23 @@ class TestExitCodes:
               "--k", "4", "--dev-fraction", "1"], 2, "data error: dev fraction must be in (0, 1), got 1.0"),
             (["ingest", "--input", "data/train.jsonl", "--format", "xyz"], 1,
              "usage error: unknown format 'xyz'"),
+            *[(args, 2, "data error: group-size range [20, 35] infeasible for 4 intents")
+              for args in GROUP_SIZE_RUNS],
         ],
         ids=["train-dev-fraction-1", "train-dev-fraction-nan", "sweep-k-dev-fraction",
-             "eval-dev-fraction", "ingest-format"],
+             "eval-dev-fraction", "ingest-format", *[f"{args[0]}-group-size" for args in GROUP_SIZE_RUNS]],
     )
     def test_bad_option_rejected_before_output(self, synth_dir, args, code, message):
-        out = run_cli([*args, "--out", "m.jsonl"], cwd=synth_dir)
+        from fewintent.corpus import load_dataset
+
+        lines = [f"alpha{c} gamma\tbeta{c} delta" for c in range(6)]
+        (synth_dir / "pairs.tsv").write_text("\n".join(lines) + "\n")
+        save_model(synth_dir / "m.ckpt", synth_dir / "data/train.jsonl", [8, 8])
+        labels = load_dataset(synth_dir / "data/train.jsonl", "jsonl").labels
+        (synth_dir / "inv.txt").write_text("".join(lab.raw_name + "\n" for lab in labels))
+        out = run_cli([*args, "--out", "m.jsonl"], cwd=synth_dir, stdin="")
         assert out.returncode == code
-        assert message in out.stderr and "Traceback" not in out.stderr
+        assert out.stderr == message + "\n"
         assert not (synth_dir / "m.jsonl").exists()
 
     @pytest.mark.parametrize(
@@ -1059,6 +1083,33 @@ class TestConfigMerge:
                     assert getattr(node.slice, "value", None) not in inputs, name
                 if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "cfg":
                     assert node.attr != "get", name  # cfg.get: options every command has are cfg[...]
+
+    def test_one_group_size_decision(self):
+        import ast
+
+        from fewintent import cli
+
+        # `main` builds the run's TrainConfig and sets its group size once; commands take it.
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        decided = ("_train_config", "group_size")
+
+        def calls(node, name):
+            return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                    and name in (getattr(call.func, "id", None), getattr(call.func, "attr", None))]
+
+        for name in decided:
+            assert len(calls(tree, name)) == len(calls(functions["main"], name)) == 1, name
+        for name, node in functions.items():
+            if name.startswith("_cmd_"):
+                named = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node)}
+                assert not named & set(decided), name
+        # Every command with a group-size range names the option whose intent count fixes its k.
+        tuned = {name: {o.name for o in opts} for name, (_, opts) in cli._COMMANDS.items()
+                 if any(o.name in ("k_min", "k_max") for o in opts)}
+        assert tuned.keys() == cli._INTENT_COUNT_OPTION.keys()
+        for name, option in cli._INTENT_COUNT_OPTION.items():
+            assert option in tuned[name], name
 
 
 class TestDeterminism:

@@ -28,7 +28,7 @@ import numpy as np
 from .corpus import (
     Dataset, build_ood, inventory_labels, json_line, load_dataset, split_dev, write_dataset_jsonl, write_jsonl,
 )
-from .encoder import build_vocab, utterance_token_ids
+from .encoder import build_vocab, utterance_token_ids, word_tokens
 from .errors import DataError, NumericError
 from .evaluator import (
     evaluate_runs,
@@ -281,7 +281,8 @@ _READ_KINDS = ("dataset", "datasets", "inventory", "pairs", "model")
 def _read(kind: str, value, cfg: dict, explicit: set[str]):
     """What the input file `value` of reading kind `kind` holds, or for `datasets` each
     file it lists: a `Dataset`, read with --format or the format its suffix names and
-    with --inventory; an inventory's labels; (pairs, those within --max-words and
+    with --inventory, where an utterance without word tokens is a DataError; an
+    inventory's labels; (pairs, those within --max-words and
     --max-chars), where none within them is a DataError; or a checkpoint's (params,
     vocab). A checkpoint sets the command's shape keys in `cfg`; an explicit value that
     disagrees is a DataError. `d_hidden` is set only from a single hidden width."""
@@ -296,7 +297,11 @@ def _read(kind: str, value, cfg: dict, explicit: set[str]):
             raise DataError("no paraphrase pairs survive the length filter")
         return pairs, kept
     if kind == "dataset":
-        return load_dataset(value, _infer_format(value, cfg["format"]), cfg.get("inventory"))
+        data = load_dataset(value, _infer_format(value, cfg["format"]), cfg.get("inventory"))
+        empty = next((ex.text for ex in data.examples if not word_tokens(ex.text)), None)
+        if empty is not None:
+            raise DataError(f"{value}: utterance {empty!r} has no tokens")
+        return data
     params, vocab = load_checkpoint(value)
     hidden = params.dims[1:-1]
     shape = [("d_emb", params.d_emb), *[("d_hidden", width) for width in hidden], ("d_out", params.d_out),

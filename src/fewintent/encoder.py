@@ -77,6 +77,11 @@ class Vocabulary:
     def id_of(self, word: str) -> int:
         return self._ids.get(word, UNK_ID)
 
+    def ids_of(self, words: Iterable[str]) -> list[int]:
+        """`id_of` of each word, through one bound lookup for them all."""
+        get = self._ids.get
+        return [get(word, UNK_ID) for word in words]
+
     def __contains__(self, word: str) -> bool:
         return word in self._ids
 
@@ -132,7 +137,7 @@ class TokenizedSequence:
 
 def utterance_token_ids(text: str, vocab: Vocabulary) -> list[int]:
     """Token ids of an utterance; an utterance without tokens is rejected."""
-    ids = [vocab.id_of(w) for w in word_tokens(text)]
+    ids = vocab.ids_of(word_tokens(text))
     if not ids:
         raise DataError(f"utterance {text!r} has no tokens")
     return ids
@@ -161,7 +166,7 @@ def plan_word_ids(
                 raise DataError(f"plan slot names intent {intent}, outside its {len(labels)} labels")
             lab = labels[intent]
             if lab.surface not in ids:
-                ids[lab.surface] = tuple(vocab.id_of(w) for w in word_tokens(lab.surface))
+                ids[lab.surface] = tuple(vocab.ids_of(word_tokens(lab.surface)))
                 if not ids[lab.surface]:
                     raise DataError(f"label {lab.surface!r} has no tokens")
     return ids
@@ -292,22 +297,25 @@ class ModelParams:
         if shapes != param_shapes(len(self.embedding), dims, bool(attn)):
             raise DataError(f"parameter shapes {shapes} do not fit layer widths {dims}")
         flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        self._bind(flat, len(self.embedding), dims, bool(attn))
+        self._bind(flat, _layout(len(self.embedding), dims, bool(attn)))
 
     @classmethod
     def of_flat(cls, flat: np.ndarray, vocab_size: int, dims: Sequence[int], attention: bool) -> ModelParams:
         """Parameters viewing `flat`, of the total size `param_shapes` gives."""
+        return cls._viewing(flat, _layout(vocab_size, dims, attention))
+
+    @classmethod
+    def _viewing(cls, flat: np.ndarray, layout) -> ModelParams:
         params = cls.__new__(cls)
-        params._bind(flat, vocab_size, dims, attention)
+        params._bind(flat, layout)
         return params
 
-    def _bind(self, flat: np.ndarray, vocab_size: int, dims: Sequence[int], attention: bool):
-        shapes = param_shapes(vocab_size, dims, attention)
-        ends = list(accumulate(map(math.prod, shapes), initial=0))
-        self.flat, self._views = flat, [flat[a:b].reshape(s) for a, b, s in zip(ends, ends[1:], shapes)]
-        self.embedding, *layers = self._views[: len(dims) * 2 - 1]
+    def _bind(self, flat: np.ndarray, layout):
+        slices, n = self._layout = layout
+        self.flat, self._views = flat, [flat[a:b].reshape(s) for a, b, s in slices]
+        self.embedding, *layers = self._views[:n]
         self.proj_weights, self.proj_biases = tuple(layers[::2]), tuple(layers[1::2])
-        self.attn_q, self.attn_k, self.attn_v = self._views[len(dims) * 2 - 1 :] or (None, None, None)
+        self.attn_q, self.attn_k, self.attn_v = self._views[n:] or (None, None, None)
 
     @property
     def vocab_size(self) -> int:
@@ -333,18 +341,28 @@ class ModelParams:
     @property
     def projector(self) -> np.ndarray:
         """The projector's weights and biases: one contiguous view of `flat`."""
-        start = self.embedding.size
-        return self.flat[start : start + sum(a.size for a in (*self.proj_weights, *self.proj_biases))]
+        slices, n = self._layout
+        return self.flat[slices[0][1] : slices[n - 1][1]]
 
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays, in `flat` order (shared with gradients)."""
         return list(self._views)
 
     def copy(self) -> ModelParams:
-        return ModelParams.of_flat(self.flat.copy(), self.vocab_size, self.dims, self.has_attention)
+        return ModelParams._viewing(self.flat.copy(), self._layout)
 
     def zeros_like(self) -> ModelParams:
-        return ModelParams.of_flat(np.zeros_like(self.flat), self.vocab_size, self.dims, self.has_attention)
+        """Zero parameters of this layout, in a new buffer of their own."""
+        return ModelParams._viewing(np.zeros_like(self.flat), self._layout)
+
+
+def _layout(vocab_size: int, dims: Sequence[int], attention: bool):
+    """`param_shapes` as each array's (start, end, shape) in `flat`, with the
+    number of embedding and projector arrays, which come first. A
+    `ModelParams` keeps its layout, so its copies skip the shape rules."""
+    shapes = param_shapes(vocab_size, dims, attention)
+    ends = list(accumulate(map(math.prod, shapes), initial=0))
+    return tuple(zip(ends, ends[1:], shapes)), len(dims) * 2 - 1
 
 
 def init_params(
@@ -404,9 +422,10 @@ def _project(params: ModelParams, z: np.ndarray) -> tuple[list[np.ndarray], np.n
     h = z
     last = len(params.proj_weights) - 1
     for i, (w, b) in enumerate(zip(params.proj_weights, params.proj_biases)):
-        h = (h[..., None, :] @ w)[..., 0, :] + b
+        h = (h[..., None, :] @ w)[..., 0, :]
+        h += b
         if i < last:
-            h = np.tanh(h)
+            h = np.tanh(h, out=h)
             acts.append(h)
     if not np.isfinite(h).all():
         raise NumericError("non-finite values in encoder output (check parameters)")
@@ -417,6 +436,8 @@ def _padded(rows: Iterable[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """`rows` as one matrix, each row padded with its own first entry, and
     their lengths."""
     rows = list(rows)
+    if len(rows) == 1:  # a lone query
+        return np.array(rows, dtype=np.intp), np.array([len(rows[0])])
     lengths = np.fromiter(map(len, rows), np.intp, len(rows))
     flat = np.fromiter(chain.from_iterable(rows), np.intp, lengths.sum())
     width = lengths.max(initial=0)
@@ -437,14 +458,14 @@ def _pool(x: np.ndarray, index: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """
     width = index.shape[1]
     if lengths.sum() == len(lengths) * width:  # one length, as a lone query has: one stack
-        return x[index].sum(axis=1) / width
+        return x.take(index, axis=0).sum(axis=1) / width
     out = np.empty((len(lengths), x.shape[1]))
     order = np.argsort(lengths, kind="stable")
     by_length = lengths[order]
     cuts = (np.flatnonzero(by_length[1:] != by_length[:-1]) + 1).tolist()
     for start, stop in zip([0, *cuts], [*cuts, len(order)]):
         rows, n = order[start:stop], int(by_length[start])
-        out[rows] = x[index[rows, :n]].sum(axis=1) / n
+        out[rows] = x.take(index[rows, :n], axis=0).sum(axis=1) / n
     return out
 
 

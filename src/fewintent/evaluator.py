@@ -8,7 +8,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .encoder import (
     utterance_token_ids,
 )
 from .errors import DataError
-from .objective import cosine_sim
+from .objective import cosine_sim, row_norms
 from .pretrain import ParaphrasePair, TfidfIndex
-from .sequencer import PLACEHOLDER, inference_plan, partition_intents
+from .sequencer import PLACEHOLDER, IntentGroup, check_group_size, inference_plan, partition_intents
 from .trainer import TrainConfig, dev_split, train
 
 # Filler words drawn into synthetic utterances; deliberately free of the
@@ -94,14 +94,16 @@ def predict(
 
     The utterance is scored against each of the m canonical-order groups and
     candidates compete globally across sequences; placeholder slots never
-    enter the ranking. With attention, the utterance attends over its group,
-    so it is encoded with each group, in one scoring pass (see `_rankings`).
-    Without attention, a label's representation depends on neither the
-    utterance nor the rest of its group, so the utterance is ranked by the
-    `LabelIndex` of the last inventory scored, reused while the parameter
-    values its label rows were computed from are unchanged (see `_indexed`).
+    enter the ranking (see `_rankings`). The inventory is prepared once and
+    kept as a one-entry memo (`Inventory`), so a call with the inventory of
+    the call before does only its utterance's work: with attention it
+    tokenizes the utterance and scores it with each group's kept `Tail`;
+    without attention it ranks the utterance by the kept `LabelIndex` while
+    the parameter values its label rows were computed from are unchanged.
     """
-    return Prediction(_rankings(params, vocab, [text], labels, k, _indexed)[0])
+    global _memo
+    scores, _memo = _rankings(params, vocab, [text], labels, k, _memo)
+    return Prediction(scores[0])
 
 
 def top1_accuracy(preds: Sequence[Prediction], data: Dataset) -> float:
@@ -118,11 +120,12 @@ def dataset_accuracy(params: ModelParams, vocab: Vocabulary, data: Dataset, k: i
 
 
 def predict_dataset(params: ModelParams, vocab: Vocabulary, data: Dataset, k: int) -> list[Prediction]:
-    """`predict` for every example; without attention the labels are
-    encoded once for the whole dataset, with attention the sequences are
-    scored in passes of many utterances (see `_rankings`)."""
+    """`predict` for every example, with the inventory prepared afresh for
+    this call: without attention the labels are encoded once for the whole
+    dataset, with attention the sequences are scored in passes of many
+    utterances (see `_rankings`)."""
     texts = [ex.text for ex in data.examples]
-    return [Prediction(row) for row in _rankings(params, vocab, texts, data.labels, k)]
+    return [Prediction(row) for row in _rankings(params, vocab, texts, data.labels, k)[0]]
 
 
 def _rankings(
@@ -131,54 +134,59 @@ def _rankings(
     texts: Sequence[str],
     labels: Sequence[IntentLabel],
     k: int,
-    index: Callable[[ModelParams, Vocabulary, Sequence[IntentLabel]], LabelIndex] | None = None,
-) -> np.ndarray:
+    prepared: Inventory | None = None,
+) -> tuple[np.ndarray, Inventory | None]:
     """The `predict` scores of `texts`: a read-only (texts, labels) matrix,
-    one row per utterance, indexed by intent id, and nothing sorted.
+    one row per utterance, indexed by intent id, and nothing sorted; and the
+    `Inventory` they were scored with (None when there are no texts).
 
-    Every input check runs before any numeric work: k and the inventory,
-    every utterance's tokens and the labels (as `tokenize` checks them), so
-    bad input is a `DataError` whatever values the parameters hold.
+    `prepared` is used when it `serves` these labels, vocabulary and k, and
+    prepared afresh otherwise. Every input check runs before any numeric
+    work, in one order on both paths: k and the inventory
+    (`partition_intents`; a prepared inventory's labels were checked when
+    it was laid out), every utterance's tokens, then the labels (as
+    `tokenize` checks them), so bad input is a `DataError` whatever values
+    the parameters hold.
 
     Without attention the utterances are scored by the inventory's
-    `LabelIndex`, from `index(params, vocab, labels)` (default
-    `encode_inventory`). With attention a label's row depends on the
-    utterance, so each (utterance, group) pair is its own sequence. Each
-    group is laid out once, by `tokenize` with the first utterance; every
-    utterance's sequence is its token ids followed by that group's tail.
-    The sequences are scored in passes of whole utterances, up to
-    `PASS_POSITIONS` token positions each: one `encode_sequences` call per
-    pass, then one `cosine_sim` per sequence over its real slots.
+    `LabelIndex`. With attention a label's row depends on the utterance, so
+    each (utterance, group) pair is its own sequence: the utterance's token
+    ids followed by the group's `Tail`. The sequences are scored in passes
+    of whole utterances, up to `PASS_POSITIONS` token positions each: one
+    `encode_sequences` call per pass, then one `cosine_sim` per sequence
+    over its real slots.
     """
-    groups = partition_intents(labels, k)
+    labels = tuple(labels)
+    if prepared is not None and prepared.serves(labels, vocab, k, params.has_attention):
+        check_group_size(k)
+    else:
+        groups, prepared = partition_intents(labels, k), None
     if not texts:
-        return np.empty((0, len(labels)))
+        return np.empty((0, len(labels))), prepared
     utterances = [utterance_token_ids(text, vocab) for text in texts]
+    if prepared is None:
+        prepared = Inventory.lay_out(labels, vocab, groups)
     if not params.has_attention:
-        scores = (index or encode_inventory)(params, vocab, labels).rank(params, utterances)
+        prepared = prepared.indexed(params)
+        scores = prepared.index.rank(params, utterances)
         scores.flags.writeable = False
-        return scores
-    tails = []  # each group's sequence after the utterance: token ids, slot spans, slots
-    for group in groups:
-        seq = tokenize(inference_plan(texts[0], group), labels, vocab)
-        n = seq.utterance_span[1]
-        tails.append((seq.token_ids[n:], [(s - n, e - n) for s, e in seq.slot_spans], group.slots))
-    reals = [[pos for pos, intent in enumerate(group.slots) if intent != PLACEHOLDER] for group in groups]
-    tail_positions = sum(len(ids) for ids, _, _ in tails)
+        return scores, prepared
 
+    tails = prepared.tails
+    tail_positions = sum(len(tail.token_ids) for tail in tails)
     scores = np.empty((len(texts), len(labels)))
-    for batch in _passes([len(groups) * len(ids) + tail_positions for ids in utterances]):
+    for batch in _passes([len(tails) * len(ids) + tail_positions for ids in utterances]):
         seqs = []
         for i in batch:
             ids, n = tuple(utterances[i]), len(utterances[i])
-            for tail, spans, slots in tails:
-                slot_spans = tuple((s + n, e + n) for s, e in spans)
-                seqs.append(TokenizedSequence(ids + tail, (0, n), slot_spans, slots, None))
+            for tail in tails:
+                slot_spans = tuple((s + n, e + n) for s, e in tail.slot_spans)
+                seqs.append(TokenizedSequence(ids + tail.token_ids, (0, n), slot_spans, tail.slots, None))
         rows = iter(encode_sequences(params, seqs).reshape(len(seqs), -1, params.d_out))
         for i in batch:
-            scores[i] = np.concatenate([cosine_sim(h[0], h[1:][real]) for real, h in zip(reals, rows)])
+            scores[i] = np.concatenate([cosine_sim(h[0], h[1:][tail.real]) for tail, h in zip(tails, rows)])
     scores.flags.writeable = False
-    return scores
+    return scores, prepared
 
 
 # Token positions per attention scoring pass: a pass holds whole utterances,
@@ -201,80 +209,129 @@ def _passes(costs: Sequence[int]) -> list[list[int]]:
     return passes
 
 
+class Tail(NamedTuple):
+    """One group's part of each sequence scored against it: the token ids
+    that follow the utterance, its slot spans counted from the first of
+    them, its slots, and the positions of the slots that hold an intent."""
+
+    token_ids: tuple[int, ...]
+    slot_spans: tuple[tuple[int, int], ...]
+    slots: tuple[int, ...]
+    real: np.ndarray  # (np.intp)
+
+
+@dataclass(frozen=True, eq=False)
+class Inventory:
+    """An inventory prepared for scoring under one vocabulary and group
+    size: its labels checked and each canonical group laid out as a `Tail`,
+    and, once a model without attention scored with it, the `LabelIndex` of
+    those parameter values. Never mutated, and it holds no reference to the
+    parameters; a new index makes a new `Inventory`.
+    """
+
+    labels: tuple[IntentLabel, ...]
+    vocab: Vocabulary
+    k: int
+    tails: tuple[Tail, ...]
+    index: LabelIndex | None = None
+
+    @classmethod
+    def lay_out(cls, labels: tuple[IntentLabel, ...], vocab: Vocabulary, groups: Sequence[IntentGroup]) -> Inventory:
+        """`labels` prepared under `vocab` in `groups`, as `partition_intents`
+        gives them: each group laid out by one `tokenize` call with a
+        stand-in utterance that is then dropped, so the labels are checked
+        as `tokenize` checks them."""
+        tails = []
+        for group in groups:
+            seq = tokenize(inference_plan("labels", group), labels, vocab)
+            n = seq.utterance_span[1]
+            spans = tuple((s - n, e - n) for s, e in seq.slot_spans)
+            real = np.flatnonzero(np.array(group.slots) != PLACEHOLDER)
+            tails.append(Tail(seq.token_ids[n:], spans, group.slots, real))
+        return cls(labels, vocab, groups[0].k, tuple(tails))
+
+    def serves(self, labels: tuple[IntentLabel, ...], vocab: Vocabulary, k: int, attention: bool) -> bool:
+        """Whether this is `labels` prepared under `vocab` (identity first,
+        then equality) for group size `k`; without attention a label's row
+        does not depend on its group, so any k is served (its value is
+        still checked)."""
+        return (
+            (self.labels is labels or self.labels == labels)
+            and (self.vocab is vocab or self.vocab == vocab)
+            and (self.k == k or not attention)
+        )
+
+    def indexed(self, params: ModelParams) -> Inventory:
+        """This inventory with the `LabelIndex` of `params`, a model without
+        attention: itself while its index `serves` them, else a copy with a new one."""
+        if self.index is not None and self.index.serves(params):
+            return self
+        spans = [tail.token_ids[s:e] for tail in self.tails for s, e in (tail.slot_spans[p] for p in tail.real)]
+        return replace(self, index=LabelIndex.encode(params, spans))
+
+
 @dataclass(frozen=True, eq=False)
 class LabelIndex:
     """An inventory's label rows, encoded once for a model without attention,
-    with copies of the inputs they were computed from. Never mutated, and it
-    holds no reference to the parameters.
+    with their norms and copies of the parameter values they were computed
+    from. Never mutated, and it holds no reference to the parameters.
 
     Each label span is encoded on its own, which gives it the bits a
     sequence gives it, so `rank` equals the grouped path bit for bit.
     """
 
-    labels: tuple[IntentLabel, ...]
-    vocab: Vocabulary
     rows: np.ndarray  # (labels, d_out) projected label rows, inventory order
+    norms: np.ndarray  # (labels,) each row's `row_norms`
     tokens: np.ndarray  # the distinct label token ids (np.intp) the rows depend on
     embedding_rows: np.ndarray  # copy of the embedding rows of `tokens`
     dims: tuple[int, ...]  # the model's layer widths
     projector: np.ndarray  # copy of the projector's slice of the parameter vector
 
+    @classmethod
+    def encode(cls, params: ModelParams, spans: Sequence[Sequence[int]]) -> LabelIndex:
+        """The index of the label `spans` (token ids, inventory order) under `params`."""
+        if params.has_attention:
+            raise DataError("a label index needs a model without attention")
+        tokens = np.unique(np.concatenate(spans)).astype(np.intp)
+        rows = encode_spans(params, spans)
+        return cls(rows, row_norms(rows), tokens, params.embedding[tokens], params.dims, params.projector.copy())
+
     def rank(self, params: ModelParams, utterances: Sequence[Sequence[int]]) -> np.ndarray:
         """The (utterances, labels) scores of utterances given as token ids
         (`utterance_token_ids`), each encoded with `params`."""
-        return cosine_sim(encode_spans(params, utterances), self.rows)
+        return cosine_sim(encode_spans(params, utterances), self.rows, self.norms)
 
-    def serves(self, params: ModelParams, vocab: Vocabulary, labels: tuple[IntentLabel, ...]) -> bool:
-        """Whether this index is what `encode_inventory(params, vocab, labels)` gives."""
-        if not (self.labels is labels or self.labels == labels):
-            return False
-        if not (self.vocab is vocab or self.vocab == vocab):
-            return False
-        current = (params.embedding[self.tokens], params.projector)
-        return params.dims == self.dims and all(map(_same_bits, current, (self.embedding_rows, self.projector)))
+    def serves(self, params: ModelParams) -> bool:
+        """Whether the rows are what `params` gives now: the same layer
+        widths, and the label tokens' embedding rows and the projector equal
+        bit for bit (so `-0.0` differs from `0.0`, and a NaN, which no index
+        holds, always differs)."""
+        return (
+            params.dims == self.dims
+            and _same_bits(params.embedding.take(self.tokens, axis=0), self.embedding_rows)
+            and _same_bits(params.projector, self.projector)
+        )
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    """Whether two float64 arrays of one shape hold the same bits, compared as int64 views."""
+    return bool((a.view(np.int64) == b.view(np.int64)).all())
 
 
 def encode_inventory(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabel]) -> LabelIndex:
     """The `LabelIndex` of `labels` under `params`, a model without attention.
 
-    The labels are laid out as one all-label plan, so they are checked as
-    the grouped path checks them: ids failing `check_label_ids`, or a label
-    without tokens, are a `DataError`. The plan's stand-in utterance is dropped.
+    The labels are laid out as one group of the whole inventory, so they are
+    checked as the grouped path checks them: ids failing `check_label_ids`,
+    or a label without tokens, are a `DataError`.
     """
-    if params.has_attention:
-        raise DataError("a label index needs a model without attention")
-    seq = tokenize(inference_plan("labels", partition_intents(labels, len(labels))[0]), labels, vocab)
-    spans = [seq.token_ids[s:e] for s, e in seq.slot_spans]
-    tokens = np.unique(np.concatenate(spans)).astype(np.intp)
-    copies = (params.embedding[tokens], params.dims, params.projector.copy())
-    return LabelIndex(tuple(labels), vocab, encode_spans(params, spans), tokens, *copies)
-
-
-_memo: LabelIndex | None = None  # the last inventory `predict` scored without attention
-
-
-def _indexed(params: ModelParams, vocab: Vocabulary, labels: Sequence[IntentLabel]) -> LabelIndex:
-    """`encode_inventory(params, vocab, labels)`, from the one-entry memo when
-    its label rows were computed from the values `params` holds now.
-
-    Nothing is keyed on the `ModelParams` object, which training mutates in
-    place: every call compares the layer widths, and the label tokens'
-    embedding rows and the projector bit for bit, against the index's copies.
-    A published index holds no NaN (its rows would not have been finite), so
-    parameters a NaN entered are encoded again and raise as they would
-    uncached. The entry is read once and replaced whole, so concurrent
-    callers may rebuild it in turn but never mix two models.
-    """
-    global _memo
     labels = tuple(labels)
-    index = _memo
-    if index is None or not index.serves(params, vocab, labels):
-        index = _memo = encode_inventory(params, vocab, labels)
-    return index
+    return Inventory.lay_out(labels, vocab, partition_intents(labels, len(labels))).indexed(params).index
+
+
+# The inventory `predict` last scored with: read once per call and replaced
+# whole, so concurrent callers may prepare it in turn but never mix two models.
+_memo: Inventory | None = None
 
 
 def _per_intent_accuracy(all_preds, all_gold) -> dict[int, float]:

@@ -31,11 +31,18 @@ class LossConfig:
 COSINE_BLOCK = 2**16  # elements of `cosine_sim`'s product temporary (512 KiB of float64)
 
 
-def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row of `v` (of a vector, its own), with the
+    bits `cosine_sim` computes them with."""
+    return np.sqrt((v * v).sum(axis=-1))
+
+
+def cosine_sim(u: np.ndarray, v: np.ndarray, v_norms: np.ndarray | None = None) -> float | np.ndarray:
     """Cosine similarity of every row of `u` with every row of `v`, clamped
     into [-1, 1] against rounding. Each side is a vector or a (rows, d)
     stack; the result drops the axis of a side that is one vector, so two
-    vectors give a float and two stacks a (U, L) array.
+    vectors give a float and two stacks a (U, L) array. `v_norms`, when
+    given, is `row_norms(v)`, kept by a caller that scores one `v` often.
 
     Dots and norms are elementwise products summed over the last axis, never
     a BLAS product, so entry (i, j) depends on the rows u[i] and v[j] alone
@@ -45,8 +52,8 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     """
     u, v = np.asarray(u), np.asarray(v)
     us, vs = np.atleast_2d(u), np.atleast_2d(v)
-    nu = np.sqrt((us * us).sum(axis=-1))
-    nv = np.sqrt((vs * vs).sum(axis=-1))
+    nu = row_norms(us)
+    nv = row_norms(vs) if v_norms is None else np.atleast_1d(v_norms)
     if not (nu.all() and nv.all()):
         raise NumericError("cosine similarity of a zero-norm vector")
     out = np.empty((len(us), len(vs)))
@@ -54,7 +61,8 @@ def cosine_sim(u: np.ndarray, v: np.ndarray) -> float | np.ndarray:
     for a in range(0, len(us), step):
         out[a:a + step] = (us[a:a + step, None, :] * vs).sum(axis=-1)
     out /= nu[:, None] * nv
-    scores = np.clip(out, -1.0, 1.0, out=out).reshape(u.shape[:-1] + v.shape[:-1])
+    np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)  # `np.clip`'s values, without its Python wrapper
+    scores = out.reshape(u.shape[:-1] + v.shape[:-1])
     return float(scores) if scores.ndim == 0 else scores
 
 

@@ -68,13 +68,18 @@ def choose_k(n: int, k_min: int, k_max: int) -> int:
     return best_k
 
 
+def check_group_size(k: int) -> None:
+    """Raise `DataError` unless `k` is a group size: at least 1."""
+    if k < 1:
+        raise DataError(f"group size must be >= 1, got {k}")
+
+
 def partition_intents(labels: Sequence[IntentLabel], k: int) -> list[IntentGroup]:
     """Split the inventory into ceil(n/k) groups of k slots, in inventory order;
     the label ids must pass `check_label_ids`."""
     if not labels:
         raise DataError("cannot partition an empty inventory")
-    if k < 1:
-        raise DataError(f"group size must be >= 1, got {k}")
+    check_group_size(k)
     check_label_ids(labels)
     ids = [lab.id for lab in labels]
     groups = []

@@ -405,7 +405,7 @@ EXTENSIONS = {"inventory": ".txt", "pairs": ".tsv", "model": ".ckpt", "dataset":
 NOUNS = {"inventory": "inventory file", "pairs": "paraphrase file", "model": "checkpoint",
          "dataset": "dataset file", "datasets": "dataset file"}
 FAULTS = {  # by reading kind
-    "dataset": ["missing", "not-utf8", "wrong-format", "no-suffix"],
+    "dataset": ["missing", "not-utf8", "wrong-format", "no-suffix", "no-tokens"],
     "inventory": ["missing", "not-utf8"],
     "pairs": ["missing", "not-utf8", "all-filtered"],
     "model": ["missing", "not-utf8"],
@@ -413,14 +413,17 @@ FAULTS = {  # by reading kind
 FAULTS["datasets"] = FAULTS["dataset"]
 # The faulty file: it does not exist, holds non-UTF-8 bytes, holds JSONL read under
 # --format csv, holds JSONL under a suffix that names no format, or holds only pairs
-# over the length caps. The bad entry of a list option comes second.
+# over the length caps, or holds an utterance without word tokens. The bad entry of a
+# list option comes second.
 BAD_FILES = {"missing": "nope", "not-utf8": "bad", "wrong-format": "bad.jsonl", "no-suffix": "bad.txt",
-             "all-filtered": "bad.tsv"}
+             "all-filtered": "bad.tsv", "no-tokens": "bad.jsonl"}
 FAULT_CONTENT = {
     "not-utf8": b"text,category\n\xff\xfe hello\tthere,x\n",
     "wrong-format": json.dumps({"text": "hi there", "label": "greet"}).encode() + b"\n",
     "no-suffix": json.dumps({"text": "hi there", "label": "greet"}).encode() + b"\n",
     "all-filtered": b"one two three four five six seven eight nine ten eleven\tshort\n",
+    "no-tokens": "".join(json.dumps({"text": t, "label": lab}) + "\n"
+                         for t, lab in [("hi there", "greet"), ("!!!", "bye"), ("bye now", "bye")]).encode(),
 }
 FAULT_ERRORS = {  # exit code and the start of the one stderr line
     "missing": (2, "data error: {noun} not found: {bad}"),
@@ -428,12 +431,15 @@ FAULT_ERRORS = {  # exit code and the start of the one stderr line
     "wrong-format": (2, "data error: {bad}: expected header 'text,category'"),
     "no-suffix": (1, "usage error: cannot infer format of {bad}; pass --format csv|jsonl"),
     "all-filtered": (2, "data error: no paraphrase pairs survive the length filter"),
+    "no-tokens": (2, "data error: {bad}: utterance '!!!' has no tokens"),
 }
 # Before the input phase every row but the missing-file and checkpoint rows ended
 # the run after its config record, among them train-train, train-dev, eval-test and
 # pretrain-ood-others with no-suffix, zeroshot-test with wrong-format, ingest-,
 # predict- and diagnose-topk-inventory with not-utf8 and pretrain-para-pairs with
-# all-filtered.
+# all-filtered. At the parent the input phase let the no-tokens rows through: ingest
+# ran to exit 0 and the others failed on the next check, the group size of 2 intents
+# (`test_no_token_utterance_ends_run_before_output` gives them a group size that fits).
 FAULT_ROWS = [
     pytest.param(command, option, kind, fault, id=f"{command}-{option}-{fault}")
     for command, options in INPUT_OPTIONS.items()
@@ -773,6 +779,24 @@ class TestExitCodes:
         assert cli.main([*args, "--out", "o.jsonl"]) == code
         err = capsys.readouterr().err
         assert err.startswith(line) and err.endswith("\n") and err.count("\n") == 1, err
+        assert not (fault_inputs / "o.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "args",
+        [["train", "--train", "bad.jsonl", "--epochs", "1"],
+         ["zeroshot", "--ckpt", "m.ckpt", "--test", "bad.jsonl"],
+         ["diagnose-topk", "--ckpt", "m.ckpt", "--test", "bad.jsonl"]],
+        ids=lambda args: args[0],
+    )
+    def test_no_token_utterance_ends_run_before_output(self, fault_inputs, monkeypatch, capsys, args):
+        """Before the input phase checked utterances, these runs wrote their
+        config record and then failed on the utterance."""
+        from fewintent import cli
+
+        (fault_inputs / "bad.jsonl").write_bytes(FAULT_CONTENT["no-tokens"])
+        monkeypatch.chdir(fault_inputs)
+        assert cli.main([*args, "--inventory", "inv.txt", "--k", "2", "--out", "o.jsonl"]) == 2
+        assert capsys.readouterr().err == "data error: bad.jsonl: utterance '!!!' has no tokens\n"
         assert not (fault_inputs / "o.jsonl").exists()
 
     @pytest.mark.parametrize(

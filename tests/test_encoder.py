@@ -25,6 +25,7 @@ from fewintent.encoder import (
     loss_and_param_grads,
     plan_word_ids,
     tokenize,
+    utterance_token_ids,
     word_tokens,
 )
 from fewintent.errors import DataError, NumericError
@@ -130,6 +131,26 @@ class TestTokenize:
         word_ids = plan_word_ids(pairs, vocab)
         for plan, labels in pairs:
             assert lay_out(plan, labels, word_ids) == tokenize(plan, labels, vocab)
+
+    # Known and unknown words, other cases, unicode letters and digits, and
+    # punctuation or underscores alone, which hold no word.
+    PIECES = ["freeze", "card", "Card", "arrival", "zzz", "naïve", "ÉTÉ", "東京", "٣", "x_y", "a-1",
+              "!!!", "...", "_", "-", "?!"]
+
+    @given(st.one_of(st.text(max_size=20), st.lists(st.sampled_from(PIECES), max_size=6).map(" ".join)))
+    def test_word_ids_are_id_of_each_word(self, text):
+        vocab = build_vocab([["freeze card arrival", "naïve été 東京 ٣ x"]])
+        want = [vocab.id_of(w) for w in word_tokens(text)]
+        labels = (IntentLabel(0, "l", text),)
+        plan = SequencePlan(LabeledUtterance("card", 0), IntentGroup(0, (0,)), 0)
+        if not want:
+            with pytest.raises(DataError, match="has no tokens"):
+                utterance_token_ids(text, vocab)
+            with pytest.raises(DataError, match="has no tokens"):
+                plan_word_ids([(plan, labels)], vocab)
+        else:
+            assert utterance_token_ids(text, vocab) == want
+            assert plan_word_ids([(plan, labels)], vocab)[text] == tuple(want)
 
     def test_empty_utterance_raises(self):
         data, vocab, plan = freeze_card_setup()

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ from fewintent.encoder import (
     ModelParams,
     build_vocab,
     encode,
+    encode_spans,
     init_params,
     tokenize,
     utterance_token_ids,
@@ -30,7 +32,7 @@ from fewintent.evaluator import (
     sweep_k,
     topk_miss,
 )
-from fewintent.objective import cosine_sim
+from fewintent.objective import cosine_sim, row_norms
 from fewintent.sequencer import PLACEHOLDER, inference_plan, partition_intents
 from fewintent.trainer import TrainConfig
 
@@ -451,6 +453,104 @@ class TestLabelIndexMemo:
         params = init_params(len(self.vocab), 8, 8, 8, seed=0, attention=True)
         with pytest.raises(DataError, match="without attention"):
             encode_inventory(params, self.vocab, self.data.labels)
+
+
+def _fault_cases():
+    """(text, labels, k, message) of bad input to `predict`, given the
+    5-label inventory; where two checks fail, the earlier one's message."""
+    def bad_label(labels):
+        return (labels[0], IntentLabel(1, "??", "??"), *labels[2:])
+
+    cases = {
+        "k-0": (lambda labels: ("topic please", labels, 0), "group size must be >= 1, got 0"),
+        "empty-inventory": (lambda labels: ("topic please", (), 2), "cannot partition an empty inventory"),
+        "out-of-order-ids": (lambda labels: ("topic please", labels[::-1], 2), "label ids must be contiguous"),
+        "utterance-without-tokens": (lambda labels: ("?! ...", labels, 2), "utterance '?! ...' has no tokens"),
+        "label-without-tokens": (lambda labels: ("topic please", bad_label(labels), 2), "label '??' has no tokens"),
+        "k-0-before-utterance": (lambda labels: ("?! ...", labels, 0), "group size"),
+        "ids-before-utterance": (lambda labels: ("?! ...", labels[::-1], 2), "label ids must be contiguous"),
+        "utterance-before-label": (lambda labels: ("?! ...", bad_label(labels), 2), "utterance '?! ...'"),
+    }
+    return [pytest.param(make, message, id=name) for name, (make, message) in cases.items()]
+
+
+class TestPreparedInventory:
+    """`predict` keeps the inventory it last scored with (`evaluator.Inventory`)
+    and reuses it while it serves the call's labels, vocabulary and k;
+    `predict_dataset` prepares it afresh. Neither changes a score or an error."""
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_online_rows_equal_batch_rows_across_interleaved_calls(self, attention):
+        _, data = generate_synthetic(13, 1, 3, seed=6, test_per_intent=1)
+        vocab = build_vocab([data])
+        params = init_params(len(vocab), 16, 16, 16, seed=6, attention=attention)
+        for a in params.arrays():
+            a *= 6.0  # attention rows far from uniform
+        equal = tuple(IntentLabel(lab.id, lab.raw_name, lab.surface) for lab in data.labels)
+        reordered = Vocabulary(tuple(reversed(vocab.tokens)))  # the same words under other ids
+        calls = [  # (labels, vocab, k), each call changing one of them: the inventory, an
+            # equal copy, then k, the vocabulary, the inventory, and all three
+            (data.labels, vocab, 4), (equal, vocab, 4), (data.labels, vocab, 5),
+            (data.labels, reordered, 5), (data.labels[:9], reordered, 5),
+        ]
+        before = None
+        for _ in range(2):
+            batches = [predict_dataset(params, v, SimpleNamespace(labels=labels, examples=data.examples), k)
+                       for labels, v, k in calls]
+            for i, ex in enumerate(data.examples):
+                for (labels, v, k), batch in zip(calls, batches):
+                    assert predict(params, v, ex.text, labels, k).scores.tobytes() == batch[i].scores.tobytes()
+            assert before is None or batches[0][0].scores.tobytes() != before
+            before = batches[0][0].scores.tobytes()
+            (params.attn_q if attention else params.proj_weights[0])[3] *= -1.0  # in place, between rounds
+
+    @pytest.mark.parametrize("make, message", _fault_cases())
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_warm_memo_raises_as_a_cold_one(self, monkeypatch, make, message, attention):
+        pool, _ = generate_synthetic(5, 1, 1, seed=0, test_per_intent=1)
+        vocab = build_vocab([pool])
+        params = init_params(len(vocab), 8, 8, 8, seed=0, attention=attention)
+        text, labels, k = make(pool.labels)
+        monkeypatch.setattr(evaluator, "_memo", None)
+        with pytest.raises(DataError, match=re.escape(message)) as cold:
+            predict(params, vocab, text, labels, k)
+        predict(params, vocab, "topic please", pool.labels, 2)
+        warm = evaluator._memo
+        assert warm is not None
+        with pytest.raises(DataError) as again:
+            predict(params, vocab, text, labels, k)
+        assert str(again.value) == str(cold.value)
+        assert evaluator._memo is warm
+
+    @pytest.mark.parametrize("attention", [False, True])
+    def test_a_hit_skips_partition_and_tokenize(self, monkeypatch, attention):
+        _, data = generate_synthetic(13, 1, 3, seed=3, test_per_intent=1)
+        vocab = build_vocab([data])
+        params = init_params(len(vocab), 16, 16, 16, seed=3, attention=attention)
+        monkeypatch.setattr(evaluator, "_memo", None)
+        calls = []
+        for name in ("partition_intents", "tokenize"):
+            real = getattr(evaluator, name)
+            monkeypatch.setattr(evaluator, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        texts = [ex.text for ex in data.examples]
+        predict(params, vocab, texts[0], data.labels, 4)
+        assert calls == ["partition_intents"] + ["tokenize"] * 4  # 13 labels in groups of 4
+        calls.clear()
+        for text in texts:
+            predict(params, vocab, text, data.labels, 4)
+        assert calls == []
+        predict_dataset(params, vocab, data, 4)
+        assert calls == ["partition_intents"] + ["tokenize"] * 4
+
+    def test_rank_with_kept_norms_equals_cosine_sim(self):
+        _, data = generate_synthetic(13, 1, 3, seed=7, test_per_intent=2)
+        vocab = build_vocab([data])
+        params = init_params(len(vocab), 16, 16, 17, seed=7)
+        index = encode_inventory(params, vocab, data.labels)
+        utterances = [utterance_token_ids(ex.text, vocab) for ex in data.examples]
+        want = cosine_sim(encode_spans(params, utterances), index.rows)
+        assert index.rank(params, utterances).tobytes() == want.tobytes()
+        assert index.norms.tobytes() == row_norms(index.rows).tobytes()
 
 
 class TestEvaluateRuns:

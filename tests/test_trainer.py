@@ -344,6 +344,20 @@ class TestFlatLayout:
         save_checkpoint(params, vocab, tmp_path / "m.ckpt")
         assert (tmp_path / "m.ckpt").read_bytes()[-4 - len(payload) : -4] == payload
 
+    @pytest.mark.parametrize("attention", [False, True], ids=["plain", "attention"])
+    def test_copies_share_the_layout_not_the_buffer(self, attention):
+        params = init_params(7, 6, 5, 4, depth=3, seed=2, attention=attention)
+        copies = [params.zeros_like(), params.zeros_like(), params.copy()]
+        for i, other in enumerate(copies):
+            self.assert_views(other)
+            assert [a.shape for a in other.arrays()] == [a.shape for a in params.arrays()]
+            assert not any(np.shares_memory(other.flat, c.flat) for c in [params, *copies[:i]])
+        assert not copies[0].flat.any() and np.array_equal(copies[2].flat, params.flat)
+        projector = np.concatenate([a.ravel() for pair in zip(params.proj_weights, params.proj_biases) for a in pair])
+        for each in (params, *copies):
+            assert np.shares_memory(each.projector, each.proj_weights[0])
+        assert np.array_equal(params.projector, projector)
+
 
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
